@@ -29,13 +29,12 @@ from .errors import (
     ZeroJointDensity,
 )
 from .estimator import (
-    CdfCurve,
     EstimatorConfig,
+    LocalWeights,
     Sample,
-    cdf_curve,
     local_moments,
+    local_weights,
     quantile_estimate,
-    regression_estimate,
 )
 
 __all__ = [
@@ -144,6 +143,35 @@ def band_halfwidth(sample: Sample, x: float, cfg: EstimatorConfig) -> float:
     )
 
 
+def fit_grid(
+    sample: Sample,
+    x_grid: np.ndarray,
+    cfg: EstimatorConfig,
+    reduce: Callable[[float, LocalWeights, float], object],
+) -> tuple[list, list[float]]:
+    """Fit each grid location once and keep ``reduce(x, fit, L(x))``.
+
+    L(x) comes from the fit's own d0(x).  Locations whose fit or half-width
+    is degenerate are skipped; returns the kept reductions in grid order and
+    the skipped locations.  Only the reductions are kept, not the fits, so
+    memory does not grow with the grid.
+    """
+    kept, skipped = [], []
+    for x in x_grid:
+        try:
+            fit = local_weights(sample, x, cfg)
+            half = certainty_halfwidth(
+                cfg.kernel.l2_norm_sq, cfg.bandwidth, sample.n, fit.density, cfg.denom_tol
+            )
+        except InsufficientLocalData:
+            skipped.append(float(x))
+            continue
+        kept.append(reduce(x, fit, half))
+    if not kept:
+        raise InsufficientLocalData("every grid location had a degenerate local fit")
+    return kept, skipped
+
+
 def _common_metadata(sample: Sample, cfg: EstimatorConfig, kind: str) -> dict:
     return {
         "kind": kind,
@@ -152,6 +180,20 @@ def _common_metadata(sample: Sample, cfg: EstimatorConfig, kind: str) -> dict:
         "bandwidth": cfg.bandwidth,
         "n": sample.n,
     }
+
+
+def _point_table(rows, meta: dict) -> BandTable:
+    """Table of one row per location from (x, estimate, halfwidth) rows."""
+    xs, est, hw = (np.asarray(col) for col in zip(*rows))
+    return BandTable(
+        x=xs,
+        t=np.full(xs.size, np.nan),
+        estimate=est,
+        halfwidth=hw,
+        lower=est - hw,
+        upper=est + hw,
+        metadata=meta,
+    )
 
 
 def cdf_band(
@@ -185,15 +227,9 @@ def cdf_band(
         if t_grid.size == 0:
             raise ValueError("t_grid must not be empty")
 
-    xs, ts, est, hw, lo, up = [], [], [], [], [], []
-    skipped = []
-    for x in x_grid:
-        try:
-            curve = cdf_curve(sample, x, cfg, monotonize=False)
-            half = (1.0 + epsilon) * band_halfwidth(sample, x, cfg)
-        except InsufficientLocalData:
-            skipped.append(float(x))
-            continue
+    def block(x, fit, half_l):
+        curve = fit.curve(sample, monotonize=False)
+        half = (1.0 + epsilon) * half_l
         t_here = curve.jump_ts if use_jumps else t_grid
         e_here = curve.value_at(t_here)
         lo_here = e_here - half
@@ -201,13 +237,11 @@ def cdf_band(
         if clip:
             lo_here = np.clip(lo_here, 0.0, 1.0)
             up_here = np.clip(up_here, 0.0, 1.0)
-        xs.append(np.full(t_here.size, x, dtype=float))
-        ts.append(np.asarray(t_here, dtype=float))
-        est.append(np.asarray(e_here, dtype=float))
-        hw.append(np.full(t_here.size, half, dtype=float))
-        lo.append(np.asarray(lo_here, dtype=float))
-        up.append(np.asarray(up_here, dtype=float))
+        size = t_here.size
+        return (np.full(size, x), t_here, e_here, np.full(size, half), lo_here, up_here)
 
+    blocks, skipped = fit_grid(sample, x_grid, cfg, block)
+    xs, ts, est, hw, lo, up = (np.concatenate(col) for col in zip(*blocks))
     meta = _common_metadata(sample, cfg, "cdf")
     meta.update(
         {
@@ -217,16 +251,8 @@ def cdf_band(
             "skipped_locations": skipped,
         }
     )
-    if not xs:
-        raise InsufficientLocalData("every grid location had a degenerate local fit")
     return BandTable(
-        x=np.concatenate(xs),
-        t=np.concatenate(ts),
-        estimate=np.concatenate(est),
-        halfwidth=np.concatenate(hw),
-        lower=np.concatenate(lo),
-        upper=np.concatenate(up),
-        metadata=meta,
+        x=xs, t=ts, estimate=est, halfwidth=hw, lower=lo, upper=up, metadata=meta
     )
 
 
@@ -248,35 +274,13 @@ def regression_band(
     if x_grid.size == 0:
         raise ValueError("x_grid must not be empty")
 
-    xs, est, hw = [], [], []
-    skipped = []
-    for x in x_grid:
-        try:
-            m = regression_estimate(sample, x, cfg)
-            half = (b - a) * band_halfwidth(sample, x, cfg)
-        except InsufficientLocalData:
-            skipped.append(float(x))
-            continue
-        xs.append(float(x))
-        est.append(m)
-        hw.append(half)
-    if not xs:
-        raise InsufficientLocalData("every grid location had a degenerate local fit")
+    def row(x, fit, half_l):
+        return float(x), fit.regression(sample), (b - a) * half_l
 
-    xs = np.asarray(xs)
-    est = np.asarray(est)
-    hw = np.asarray(hw)
+    rows, skipped = fit_grid(sample, x_grid, cfg, row)
     meta = _common_metadata(sample, cfg, "regression")
     meta.update({"y_range": [a, b], "skipped_locations": skipped})
-    return BandTable(
-        x=xs,
-        t=np.full(xs.size, np.nan),
-        estimate=est,
-        halfwidth=hw,
-        lower=est - hw,
-        upper=est + hw,
-        metadata=meta,
-    )
+    return _point_table(rows, meta)
 
 
 def quantile_band(
@@ -299,18 +303,10 @@ def quantile_band(
     x_grid = np.asarray(x_grid, dtype=float)
     if x_grid.size == 0:
         raise ValueError("x_grid must not be empty")
+    sources = []
 
-    xs, est, hw = [], [], []
-    skipped = []
-    source = None
-    for x in x_grid:
-        try:
-            curve = cdf_curve(sample, x, cfg, monotonize=not use_raw_curve)
-            q = quantile_estimate(curve, alpha)
-            half_l = band_halfwidth(sample, x, cfg)
-        except InsufficientLocalData:
-            skipped.append(float(x))
-            continue
+    def row(x, fit, half_l):
+        q = quantile_estimate(fit.curve(sample, monotonize=not use_raw_curve), alpha)
         pair = densities(float(x), q)
         if not pair.fx > 0.0:
             raise ZeroJointDensity(
@@ -320,38 +316,24 @@ def quantile_band(
             raise ZeroJointDensity(
                 f"joint density {pair.fxy!r} at (x, q) = ({x}, {q}) below tolerance"
             )
-        source = pair.source
-        xs.append(float(x))
-        est.append(q)
-        hw.append(2.0 * half_l * pair.fx / pair.fxy)
-    if not xs:
-        raise InsufficientLocalData("every grid location had a degenerate local fit")
+        sources.append(pair.source)
+        return float(x), q, 2.0 * half_l * pair.fx / pair.fxy
 
-    xs = np.asarray(xs)
-    est = np.asarray(est)
-    hw = np.asarray(hw)
+    rows, skipped = fit_grid(sample, x_grid, cfg, row)
     meta = _common_metadata(sample, cfg, "quantile")
     meta.update(
         {
             "alpha": alpha,
-            "density_source": source,
+            "density_source": sources[-1],
             "raw_curve": use_raw_curve,
             "skipped_locations": skipped,
         }
     )
-    if source == "plugin":
+    if sources[-1] == "plugin":
         meta["density_note"] = (
             "plug-in densities reuse the estimation bandwidth in both coordinates"
         )
-    return BandTable(
-        x=xs,
-        t=np.full(xs.size, np.nan),
-        estimate=est,
-        halfwidth=hw,
-        lower=est - hw,
-        upper=est + hw,
-        metadata=meta,
-    )
+    return _point_table(rows, meta)
 
 
 def density_plugin(sample: Sample, x: float, y: float, cfg: EstimatorConfig) -> DensityPair:

@@ -20,7 +20,7 @@ import numpy as np
 from . import bands as bands_mod
 from . import experiments as exp_mod
 from .errors import CondBandsError, EmptyInput, ParseError
-from .estimator import EstimatorConfig, Sample, cdf_curve, reference_bandwidth
+from .estimator import EstimatorConfig, Sample, reference_bandwidth
 from .kernels import get_kernel
 from .simulation import (
     draw,
@@ -335,19 +335,16 @@ def _cmd_quantile(config: RunConfig) -> int:
 
 def _cmd_experiment(config: RunConfig) -> int:
     model = sim_model(config.model)
-    kernel = get_kernel(config.kernel)
     reports = []
     if config.experiment == "bochner":
         reports.append(
-            exp_mod.bochner_check(model, config.x, config.h_list, kernel, t=config.t)
+            exp_mod.bochner_check(
+                model, config.x, config.h_list, get_kernel(config.kernel), t=config.t
+            )
         )
     else:
         for n in config.n_list:
-            cfg = EstimatorConfig(
-                kernel=kernel,
-                bandwidth=_resolve_bandwidth(config, n),
-                order=config.order,
-            )
+            cfg = _estimator_config(config, n)
             grid = _linspace(config.x_grid)
             if config.experiment == "sup":
                 rep = exp_mod.sup_experiment(
@@ -434,33 +431,41 @@ def _write_svg(path, panels):
 def _cmd_plotdata(config: RunConfig) -> int:
     sample, model = _load_sample(config)
     cfg = _estimator_config(config, sample.n)
-    x_grid = _linspace(config.x_grid)
+    if config.t_grid is None:
+        t_grid = np.linspace(float(sample.ys.min()), float(sample.ys.max()), 101)
+    elif config.t_grid == "jumps":
+        t_grid = "jumps"
+    else:
+        t_grid = _linspace(config.t_grid)
+    table = bands_mod.cdf_band(
+        sample, _linspace(config.x_grid), t_grid, cfg,
+        epsilon=config.epsilon, clip=config.clip,
+    )
+    skipped = table.metadata["skipped_locations"]
+    if skipped:
+        print(f"note: skipped degenerate locations {skipped}", file=sys.stderr)
+    # One block of rows per kept location.  Explicit grids give every block
+    # len(t_grid) rows; a jump curve contains the sample minimum exactly
+    # once, as its first jump, so each jump block starts there.
+    if isinstance(t_grid, str):
+        starts = np.flatnonzero(table.t == sample.ys.min())
+    else:
+        starts = np.arange(0, len(table), t_grid.size)
     panels = []
     rows = []
-    for x in x_grid:
-        curve = cdf_curve(sample, x, cfg, monotonize=False)
-        half = (1.0 + config.epsilon) * bands_mod.band_halfwidth(sample, x, cfg)
-        if config.t_grid is None:
-            ts = np.linspace(float(sample.ys.min()), float(sample.ys.max()), 101)
-        elif config.t_grid == "jumps":
-            ts = curve.jump_ts
-        else:
-            ts = _linspace(config.t_grid)
-        est = curve.value_at(ts)
-        lower = est - half
-        upper = est + half
-        if config.clip:
-            lower = np.clip(lower, 0.0, 1.0)
-            upper = np.clip(upper, 0.0, 1.0)
-        truth = true_cdf(model, float(x), ts) if model is not None else None
+    for block in np.split(np.arange(len(table)), starts[1:]):
+        x = float(table.x[block[0]])
+        ts = table.t[block]
+        est, lower, upper = table.estimate[block], table.lower[block], table.upper[block]
+        truth = true_cdf(model, x, ts) if model is not None else None
         for name, vals in (("estimate", est), ("lower", lower), ("upper", upper)):
             for t, v in zip(ts, vals):
-                rows.append((float(x), float(t), name, float(v)))
+                rows.append((x, float(t), name, float(v)))
         if truth is not None:
             for t, v in zip(ts, truth):
-                rows.append((float(x), float(t), "truth", float(v)))
+                rows.append((x, float(t), "truth", float(v)))
         panels.append(
-            {"x": float(x), "ts": ts, "estimate": est, "lower": lower,
+            {"x": x, "ts": ts, "estimate": est, "lower": lower,
              "upper": upper, "truth": truth}
         )
     with open(config.output, "w", newline="") as fh:

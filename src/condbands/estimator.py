@@ -96,11 +96,47 @@ class LocalWeights:
 
     Observations with K(u_i) = 0 receive weight exactly 0.  The weights
     sum to one, and for order >= 1 they are orthogonal to u.
+    ``in_window`` marks the observations with K(u_i) > 0, and ``density``
+    is the local moment of order zero, d0(x) = sum_i K(u_i) / (n h), which
+    the band half-width uses.
     """
 
     x: float
     weights: np.ndarray
     order: int
+    in_window: np.ndarray
+    density: float
+
+    def curve(self, sample: Sample, monotonize: bool = True) -> CdfCurve:
+        """Estimated conditional distribution curve of this fit.
+
+        With ``monotonize`` the values are replaced by their running maximum
+        clipped to [0, 1]; the raw curve keeps whatever the weights produce,
+        which is the form the band theory applies to.
+        """
+        ys_in = sample.ys[self.in_window]
+        w_in = self.weights[self.in_window]
+        order = np.argsort(ys_in, kind="stable")
+        ys_sorted = ys_in[order]
+        cum = np.cumsum(w_in[order])
+        jump_ts = np.unique(
+            np.concatenate([ys_sorted, [sample.ys.min(), sample.ys.max()]])
+        )
+        idx = np.searchsorted(ys_sorted, jump_ts, side="right") - 1
+        values = np.where(idx >= 0, cum[np.maximum(idx, 0)], 0.0)
+        if monotonize:
+            values = np.clip(np.maximum.accumulate(values), 0.0, 1.0)
+        return CdfCurve(
+            x=self.x,
+            jump_ts=jump_ts,
+            values=values,
+            order=self.order,
+            monotonized=monotonize,
+        )
+
+    def regression(self, sample: Sample) -> float:
+        """Local polynomial estimate of E[Y | X = x], i.e. sum_i w_i Y_i."""
+        return float(self.weights @ sample.ys)
 
 
 @dataclass(frozen=True)
@@ -197,10 +233,16 @@ def _weight_vector(u, k, nh, cfg):
 
 
 def local_weights(sample: Sample, x: float, cfg: EstimatorConfig) -> LocalWeights:
-    """Weight vector of the local polynomial fit at ``x``."""
+    """The local polynomial fit at ``x``: weights, kernel window and d0(x)."""
     u, k, nh = _window(sample, x, cfg)
     w = _weight_vector(u, k, nh, cfg)
-    return LocalWeights(x=float(x), weights=w, order=cfg.order)
+    return LocalWeights(
+        x=float(x),
+        weights=w,
+        order=cfg.order,
+        in_window=k > 0.0,
+        density=float(k.sum()) / nh,
+    )
 
 
 def cdf_estimate(sample: Sample, x: float, t: float, cfg: EstimatorConfig) -> float:
@@ -212,40 +254,13 @@ def cdf_estimate(sample: Sample, x: float, t: float, cfg: EstimatorConfig) -> fl
 def cdf_curve(
     sample: Sample, x: float, cfg: EstimatorConfig, monotonize: bool = True
 ) -> CdfCurve:
-    """Full estimated conditional distribution curve at ``x``.
-
-    With ``monotonize`` the values are replaced by their running maximum
-    clipped to [0, 1]; the raw curve keeps whatever the weights produce,
-    which is the form the band theory applies to.
-    """
-    u, k, nh = _window(sample, x, cfg)
-    w = _weight_vector(u, k, nh, cfg)
-    in_win = k > 0.0
-    ys_in = sample.ys[in_win]
-    w_in = w[in_win]
-    order = np.argsort(ys_in, kind="stable")
-    ys_sorted = ys_in[order]
-    cum = np.cumsum(w_in[order])
-    jump_ts = np.unique(
-        np.concatenate([ys_sorted, [sample.ys.min(), sample.ys.max()]])
-    )
-    idx = np.searchsorted(ys_sorted, jump_ts, side="right") - 1
-    values = np.where(idx >= 0, cum[np.maximum(idx, 0)], 0.0)
-    if monotonize:
-        values = np.clip(np.maximum.accumulate(values), 0.0, 1.0)
-    return CdfCurve(
-        x=float(x),
-        jump_ts=jump_ts,
-        values=values,
-        order=cfg.order,
-        monotonized=monotonize,
-    )
+    """Estimated conditional distribution curve at ``x``; see :meth:`LocalWeights.curve`."""
+    return local_weights(sample, x, cfg).curve(sample, monotonize)
 
 
 def regression_estimate(sample: Sample, x: float, cfg: EstimatorConfig) -> float:
     """Local polynomial estimate of E[Y | X = x], i.e. sum_i w_i Y_i."""
-    w = local_weights(sample, x, cfg)
-    return float(w.weights @ sample.ys)
+    return local_weights(sample, x, cfg).regression(sample)
 
 
 def quantile_estimate(curve: CdfCurve, alpha: float) -> float:

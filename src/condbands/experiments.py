@@ -26,8 +26,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import InsufficientLocalData, InvalidBandwidth, QuadratureFailure
-from .estimator import EstimatorConfig, Sample, cdf_curve, local_moments
-from .bands import certainty_halfwidth
+from .estimator import EstimatorConfig, Sample
+from .bands import fit_grid
 from .kernels import Kernel
 from .simulation import SimModel, draw, marginal_density, true_cdf, true_cdf_grid
 
@@ -219,31 +219,33 @@ def band_normalized_sup(deviations, halfwidths) -> float:
     return float((dev / half).max())
 
 
-def _location_deviations(sample, model, cfg, x_grid, reference):
-    """Per-location sup deviations and half-widths; skips degenerate fits."""
-    devs, halves = [], []
-    skipped = 0
-    for x in x_grid:
-        try:
-            curve = cdf_curve(sample, x, cfg, monotonize=False)
-            d0 = float(local_moments(sample, x, cfg, jmax=0)[0])
-            half = certainty_halfwidth(
-                cfg.kernel.l2_norm_sq, cfg.bandwidth, sample.n, d0, cfg.denom_tol
-            )
-        except InsufficientLocalData:
-            skipped += 1
-            continue
-        if reference == "true":
-            refs = true_cdf(model, x, curve.jump_ts)
-        elif reference == "centering":
-            refs = centering_curve(
-                model, x, curve.jump_ts, cfg.kernel, cfg.bandwidth, cfg.order
-            )
-        else:
+def _location_deviations(sample, model, cfg, x_grid, references):
+    """Per-location sup deviations from each reference, and half-widths.
+
+    Each location is fitted once and its curve compared with every name in
+    ``references``; row i of the returned deviations belongs to
+    ``references[i]``.  Degenerate locations are skipped and counted.
+    """
+    for reference in references:
+        if reference not in ("true", "centering"):
             raise ValueError(f'reference must be "true" or "centering", got {reference!r}')
-        devs.append(step_sup_deviation(curve.values, refs))
-        halves.append(half)
-    return np.asarray(devs), np.asarray(halves), skipped
+
+    def deviations(x, fit, half):
+        curve = fit.curve(sample, monotonize=False)
+        devs = []
+        for reference in references:
+            if reference == "true":
+                refs = true_cdf(model, x, curve.jump_ts)
+            else:
+                refs = centering_curve(
+                    model, x, curve.jump_ts, cfg.kernel, cfg.bandwidth, cfg.order
+                )
+            devs.append(step_sup_deviation(curve.values, refs))
+        return devs, half
+
+    kept, skipped = fit_grid(sample, x_grid, cfg, deviations)
+    devs, halves = zip(*kept)
+    return np.array(devs).T, np.array(halves), len(skipped)
 
 
 def sup_deviation_statistic(
@@ -260,7 +262,7 @@ def sup_deviation_statistic(
     only.
     """
     grid = default_x_grid() if x_grid is None else np.asarray(x_grid, dtype=float)
-    devs, halves, _ = _location_deviations(sample, model, cfg, grid, reference)
+    (devs,), halves, _ = _location_deviations(sample, model, cfg, grid, (reference,))
     return band_normalized_sup(devs, halves)
 
 
@@ -278,9 +280,7 @@ def normalized_sup_statistic(
     """
     grid = default_x_grid() if x_grid is None else np.asarray(x_grid, dtype=float)
     use_cfg = cfg if order is None else replace(cfg, order=order)
-    devs, _, _ = _location_deviations(sample, model, use_cfg, grid, "centering")
-    if devs.size == 0:
-        raise InsufficientLocalData("no locations with a usable local fit")
+    (devs,), _, _ = _location_deviations(sample, model, use_cfg, grid, ("centering",))
     h = cfg.bandwidth
     scale = math.sqrt(sample.n * h / math.log(1.0 / h))
     return scale * float(devs.max())
@@ -362,13 +362,10 @@ def sup_experiment(
 
     def one(r):
         sample = draw(model, n, _rep_seed(seed, r))
-        d_tot, h_tot, sk = _location_deviations(sample, model, cfg, grid, "true")
-        d_sto, h_sto, _ = _location_deviations(sample, model, cfg, grid, "centering")
-        return (
-            band_normalized_sup(d_tot, h_tot),
-            band_normalized_sup(d_sto, h_sto),
-            sk,
+        (d_tot, d_sto), halves, sk = _location_deviations(
+            sample, model, cfg, grid, ("true", "centering")
         )
+        return band_normalized_sup(d_tot, halves), band_normalized_sup(d_sto, halves), sk
 
     results = _run_reps(one, reps, workers)
     total = np.array([r[0] for r in results])
@@ -429,7 +426,7 @@ def coverage_experiment(
 
     def one(r):
         sample = draw(model, n, _rep_seed(seed, r))
-        devs, halves, sk = _location_deviations(sample, model, cfg, grid, "true")
+        (devs,), halves, sk = _location_deviations(sample, model, cfg, grid, ("true",))
         return band_normalized_sup(devs, halves), sk
 
     results = _run_reps(one, reps, workers)

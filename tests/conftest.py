@@ -1,8 +1,13 @@
-"""Shared pytest plumbing for the acceptance report.
+"""Shared pytest plumbing and test helpers.
 
 The acceptance tests register one line per criterion here; the terminal
 summary hook replays them after the run so they survive output capture.
+``counting_kernel`` counts the kernel evaluations a call makes on a sample.
 """
+
+from dataclasses import replace
+
+import numpy as np
 
 acceptance_lines: list = []
 
@@ -16,3 +21,19 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in acceptance_lines:
             terminalreporter.write_line(line)
+
+
+def counting_kernel(base, n: int):
+    """``base`` with its ``fn`` wrapped to count evaluations on length-n arrays.
+
+    Returns the kernel and a list that gains one entry per such evaluation;
+    each one is a pass of the kernel over a whole sample of size n.
+    """
+    calls = []
+
+    def fn(u):
+        if np.ndim(u) == 1 and np.size(u) == n:
+            calls.append(1)
+        return base.fn(u)
+
+    return replace(base, fn=fn), calls

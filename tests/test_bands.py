@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import counting_kernel
 
 from condbands import (
     BandTable,
@@ -124,6 +125,23 @@ def test_cdf_band_skips_empty_windows():
     assert set(np.unique(table.x)) == {0.0}
     with pytest.raises(InsufficientLocalData):
         cdf_band(sample, [50.0, 60.0], np.array([0.5]), c)
+
+
+def test_band_functions_fit_each_location_once():
+    # the cdf and regression bands take the fit and L(x) from one kernel
+    # pass per location; the quantile band adds density_plugin's two
+    sample = draw(M1, 300, 12)
+    kernel, calls = counting_kernel(EPA, sample.n)
+    c = cfg(kernel=kernel, h=0.35)
+    grid = np.linspace(-1.0, 1.0, 7)
+    cdf_band(sample, grid, "jumps", c)
+    assert len(calls) == grid.size
+    calls.clear()
+    regression_band(sample, grid, c, (0.0, 1.0))
+    assert len(calls) == grid.size
+    calls.clear()
+    quantile_band(sample, grid, 0.5, c, lambda x, y: density_plugin(sample, x, y, c))
+    assert len(calls) == 3 * grid.size
 
 
 def test_cdf_band_validation():

@@ -244,6 +244,20 @@ def test_plotdata_file_input_has_no_truth(tmp_path):
     assert series == {"estimate", "lower", "upper"}
 
 
+def test_plotdata_skips_degenerate_locations(tmp_path, capsys):
+    # only x = 0 has data in its window; the others are skipped, as in bands
+    out = tmp_path / "plot.csv"
+    assert main(["plotdata", "--model", "m1", "--n", "200", "--x-grid=-6:6:5",
+                 "--output", str(out)]) == 0
+    xs = {row.split(",")[0] for row in out.read_text().strip().splitlines()[1:]}
+    assert xs == {"0.0"}
+    err = capsys.readouterr().err
+    assert "note: skipped degenerate locations [-6.0, -3.0, 3.0, 6.0]" in err
+    assert main(["plotdata", "--model", "m1", "--n", "200", "--x-grid=5:6:2",
+                 "--output", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_parse_args_round_trip():
     config = parse_args(["bands", "--model", "m2", "--n", "42", "--seed", "8",
                          "--epsilon", "0.3", "--no-clip", "--t-grid", "jumps",

@@ -174,6 +174,13 @@ def test_weight_identities_seeded(order, kernel):
             assert abs((w.weights * u * u).sum()) <= 1e-8 * max(1.0, (u * u).max())
         # no weight outside the kernel window
         assert np.all(w.weights[kernel.eval(u) == 0.0] == 0.0)
+        # the fit carries d0(x) and the curve the public functions return
+        assert np.array_equal(w.in_window, kernel.eval(u) > 0.0)
+        assert w.density == local_moments(s, x, c, jmax=0)[0]
+        for monotonize in (False, True):
+            ours, public = w.curve(s, monotonize), cdf_curve(s, x, c, monotonize)
+            assert np.array_equal(ours.jump_ts, public.jump_ts)
+            assert np.array_equal(ours.values, public.values)
     assert checked >= 20
 
 

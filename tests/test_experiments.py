@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import counting_kernel
 
 from condbands import (
     EstimatorConfig,
@@ -165,6 +166,9 @@ def test_sup_statistic_reference_validation():
     sample = draw(M1, 100, 1)
     with pytest.raises(ValueError):
         sup_deviation_statistic(sample, M1, cfg(), reference="oracle")
+    # rejected before any fit, also on a grid where every fit is degenerate
+    with pytest.raises(ValueError):
+        sup_deviation_statistic(sample, M1, cfg(), [50.0], reference="oracle")
 
 
 def test_normalized_sup_statistic_positive():
@@ -260,6 +264,16 @@ def test_sup_experiment_report():
     doc = json.loads(report.to_json())
     assert doc["kind"] == "sup"
     assert doc["summaries"][0]["stochastic_error"]["median"] > 0
+
+
+def test_sup_experiment_fits_each_location_once():
+    # one kernel pass per location and replication serves both references
+    n, reps = 300, 3
+    kernel, calls = counting_kernel(EPA, n)
+    c = EstimatorConfig(kernel=kernel, bandwidth=reference_bandwidth(n), order=1)
+    grid = np.linspace(-1.0, 1.0, 9)
+    sup_experiment(M1, n, reps, c, grid, seed=4)
+    assert len(calls) == reps * grid.size
 
 
 def test_em_constant_references():
