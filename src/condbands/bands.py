@@ -13,10 +13,9 @@ supplied either by an oracle or by a plug-in estimate.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -78,44 +77,71 @@ class BandTable:
         return self.x.size
 
     def to_csv(self, path_or_buf) -> None:
-        """Write rows as CSV with header x,t,estimate,halfwidth,lower,upper."""
-        own = isinstance(path_or_buf, (str, bytes))
+        """Write rows as CSV with header x,t,estimate,halfwidth,lower,upper.
+
+        ``path_or_buf`` is a path (``str``, ``bytes`` or ``os.PathLike``) or
+        an open text file.
+        """
+        own = isinstance(path_or_buf, (str, bytes, os.PathLike))
         buf = open(path_or_buf, "w", newline="") if own else path_or_buf
         try:
-            writer = csv.writer(buf)
-            writer.writerow(["x", "t", "estimate", "halfwidth", "lower", "upper"])
-            for i in range(len(self)):
-                t_val = "" if math.isnan(self.t[i]) else repr(float(self.t[i]))
-                writer.writerow(
-                    [
-                        repr(float(self.x[i])),
-                        t_val,
-                        repr(float(self.estimate[i])),
-                        repr(float(self.halfwidth[i])),
-                        repr(float(self.lower[i])),
-                        repr(float(self.upper[i])),
-                    ]
-                )
+            write_csv(buf, _TABLE_HEADER, self._columns(), blank_nan=("t",))
         finally:
             if own:
                 buf.close()
 
     def to_json(self) -> str:
-        rows = []
-        for i in range(len(self)):
-            rows.append(
-                {
-                    "x": float(self.x[i]),
-                    "t": None if math.isnan(self.t[i]) else float(self.t[i]),
-                    "estimate": float(self.estimate[i]),
-                    "halfwidth": float(self.halfwidth[i]),
-                    "lower": float(self.lower[i]),
-                    "upper": float(self.upper[i]),
-                }
-            )
+        cols = [np.asarray(col, dtype=float).tolist() for col in self._columns()]
+        cols[1] = [None if math.isnan(t) else t for t in cols[1]]  # no t: null
+        rows = [dict(zip(_TABLE_HEADER, vals)) for vals in zip(*cols)]
         return json.dumps(
             {"metadata": self.metadata, "rows": rows}, sort_keys=True, indent=2
         )
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        cols = (self.x, self.t, self.estimate, self.halfwidth, self.lower, self.upper)
+        if any(np.size(col) != self.x.size for col in cols):
+            raise ValueError("band table columns differ in length")
+        return cols
+
+
+_TABLE_HEADER = ("x", "t", "estimate", "halfwidth", "lower", "upper")
+
+# Rows formatted per write.  Large enough that numpy calls amortize, small
+# enough that the chunk's strings add little to peak memory.
+_CSV_CHUNK_ROWS = 2048
+
+
+def _float_text(col: np.ndarray, blank_nan: bool) -> list[str]:
+    """``repr`` of each value of ``col``, formatting each distinct value once.
+
+    Values are told apart by their bit pattern, so -0.0 and 0.0 keep their
+    own text.  NaN is written as "" when ``blank_nan`` is set.
+    """
+    bits, inv = np.unique(col.view(np.int64), return_inverse=True)
+    text = [
+        "" if blank_nan and math.isnan(v) else repr(v)
+        for v in bits.view(np.float64).tolist()
+    ]
+    return [text[i] for i in inv.tolist()]
+
+
+def write_csv(
+    buf, header: Sequence[str], columns: Sequence[np.ndarray], blank_nan: Sequence[str] = ()
+) -> None:
+    """Write float ``columns`` under ``header`` to the text file ``buf``.
+
+    The bytes are those of ``csv.writer`` over rows of ``repr(float(v))``
+    fields (no field ever needs quoting; rows end in CRLF), with an empty
+    field for NaN in the columns named in ``blank_nan``.
+    """
+    buf.write(",".join(header) + "\r\n")
+    columns = [np.ascontiguousarray(col, dtype=np.float64) for col in columns]
+    blank = [name in blank_nan for name in header]
+    for start in range(0, columns[0].size, _CSV_CHUNK_ROWS):
+        stop = start + _CSV_CHUNK_ROWS
+        texts = [_float_text(col[start:stop], b) for col, b in zip(columns, blank)]
+        buf.write("\r\n".join(map(",".join, zip(*texts))) + "\r\n")
 
 
 def certainty_halfwidth(

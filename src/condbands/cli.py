@@ -285,10 +285,7 @@ def _write_table(table, config: RunConfig) -> None:
 def _cmd_simulate(config: RunConfig) -> int:
     sample = draw(sim_model(config.model), config.n, config.seed)
     with open(config.output, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y"])
-        for x, y in zip(sample.xs, sample.ys):
-            writer.writerow([repr(float(x)), repr(float(y))])
+        bands_mod.write_csv(fh, ("x", "y"), (sample.xs, sample.ys))
     return 0
 
 
@@ -494,9 +491,10 @@ def run(config: RunConfig) -> int:
 
 def main(argv=None) -> int:
     config = parse_args(argv)
+    # The library rejects out-of-range argument values with ValueError.
     try:
         return run(config)
-    except CondBandsError as exc:
+    except (CondBandsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import math
@@ -320,3 +321,124 @@ def test_band_table_csv_and_json_round_trip():
     row = buf2.getvalue().strip().splitlines()[1].split(",")
     assert row[1] == ""  # no response coordinate
     assert json.loads(reg.to_json())["rows"][0]["t"] is None
+
+
+def reference_to_csv(table, buf):
+    """The per-row ``BandTable.to_csv`` that the columnar writer replaced."""
+    writer = csv.writer(buf)
+    writer.writerow(["x", "t", "estimate", "halfwidth", "lower", "upper"])
+    for i in range(len(table)):
+        t_val = "" if math.isnan(table.t[i]) else repr(float(table.t[i]))
+        writer.writerow(
+            [
+                repr(float(table.x[i])),
+                t_val,
+                repr(float(table.estimate[i])),
+                repr(float(table.halfwidth[i])),
+                repr(float(table.lower[i])),
+                repr(float(table.upper[i])),
+            ]
+        )
+
+
+def reference_to_json(table):
+    """The per-row ``BandTable.to_json`` that the column-list form replaced."""
+    rows = []
+    for i in range(len(table)):
+        rows.append(
+            {
+                "x": float(table.x[i]),
+                "t": None if math.isnan(table.t[i]) else float(table.t[i]),
+                "estimate": float(table.estimate[i]),
+                "halfwidth": float(table.halfwidth[i]),
+                "lower": float(table.lower[i]),
+                "upper": float(table.upper[i]),
+            }
+        )
+    return json.dumps({"metadata": table.metadata, "rows": rows}, sort_keys=True, indent=2)
+
+
+def synthetic_table(n, seed):
+    """A table whose columns mix repeats, signed zeros, NaN and extreme scales."""
+    rng = np.random.default_rng(seed)
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-7, 1e16, -1e16, 0.1, 1.0 / 3.0,
+                        np.nan, np.inf])
+
+    def column():
+        return np.where(rng.random(n) < 0.5, rng.choice(special, n),
+                        rng.normal(scale=10.0 ** rng.integers(-9, 9, n)))
+
+    t = column()
+    t[rng.random(n) < 0.2] = np.nan
+    x = np.repeat(rng.normal(size=n // 100 + 1), 100)[:n]
+    return BandTable(x=x, t=t, estimate=column(), halfwidth=column(),
+                     lower=column(), upper=column(), metadata={"kind": "synthetic"})
+
+
+def csv_text(table, writer):
+    buf = io.StringIO()
+    writer(table, buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2047, 2048, 2049, 4097])
+def test_to_csv_matches_per_row_writer(n):
+    table = synthetic_table(n, seed=n)
+    got = csv_text(table, BandTable.to_csv)
+    assert got == csv_text(table, reference_to_csv)
+    assert got.count("\r\n") == n + 1
+
+
+def test_to_csv_keeps_signed_zeros_and_nan_text():
+    # One chunk holding 0.0 and -0.0 in every column: a writer that merged
+    # equal floats would print one sign for both.
+    z = np.array([0.0, -0.0, 0.0, -0.0])
+    table = BandTable(x=z, t=np.array([np.nan, -0.0, 0.0, np.nan]), estimate=z,
+                      halfwidth=np.array([np.nan, 1e-7, 1e16, 5e-324]),
+                      lower=-z, upper=z)
+    got = csv_text(table, BandTable.to_csv)
+    assert got == csv_text(table, reference_to_csv)
+    assert got.splitlines()[1:] == [
+        "0.0,,0.0,nan,-0.0,0.0",
+        "-0.0,-0.0,-0.0,1e-07,0.0,-0.0",
+        "0.0,0.0,0.0,1e+16,-0.0,0.0",
+        "-0.0,,-0.0,5e-324,0.0,-0.0",
+    ]
+
+
+def test_to_csv_band_tables_match_per_row_writer():
+    sample = draw(M1, 3000, 17)
+    c = cfg(h=0.3)
+    tables = [
+        cdf_band(sample, np.linspace(-1, 1, 5), "jumps", c, epsilon=0.5),
+        cdf_band(sample, np.linspace(-1, 1, 5), np.linspace(0, 1, 11), c, clip=False),
+        regression_band(sample, np.linspace(-1, 1, 5), c, y_range=(0.0, 1.0)),
+    ]
+    for table in tables:
+        assert csv_text(table, BandTable.to_csv) == csv_text(table, reference_to_csv)
+        assert table.to_json() == reference_to_json(table)
+
+
+def test_to_json_matches_per_row_form():
+    table = synthetic_table(300, seed=3)
+    assert table.to_json() == reference_to_json(table)
+
+
+def test_to_csv_accepts_str_path_and_text_file(tmp_path):
+    table = synthetic_table(2100, seed=9)
+    table.to_csv(str(tmp_path / "str.csv"))
+    table.to_csv(tmp_path / "path.csv")
+    buf = io.StringIO()
+    table.to_csv(buf)
+    expected = buf.getvalue().encode()
+    assert (tmp_path / "str.csv").read_bytes() == expected
+    assert (tmp_path / "path.csv").read_bytes() == expected
+
+
+def test_serializers_reject_ragged_columns():
+    table = synthetic_table(10, seed=1)
+    table.t = table.t[:-1]
+    with pytest.raises(ValueError, match="differ in length"):
+        table.to_csv(io.StringIO())
+    with pytest.raises(ValueError, match="differ in length"):
+        table.to_json()

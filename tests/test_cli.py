@@ -1,5 +1,7 @@
+import csv
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -9,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import condbands
 from condbands import (
     EmptyInput,
     EstimatorConfig,
@@ -22,6 +25,16 @@ from condbands import (
 from condbands.cli import ingest_csv, main, parse_args
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+# A child interpreter imports the same condbands as this process, also when
+# only pytest's `pythonpath` setting put the package on the path.
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        p for p in (str(Path(condbands.__file__).resolve().parents[1]),
+                    os.environ.get("PYTHONPATH")) if p
+    ),
+}
 
 
 def write(path: Path, text: str) -> str:
@@ -41,6 +54,24 @@ def test_ingest_round_trip(tmp_path):
     direct = draw(sim_model("m1"), 50, 7)
     assert np.array_equal(sample.xs, direct.xs)
     assert np.array_equal(sample.ys, direct.ys)
+
+
+def reference_simulate_csv(sample, path):
+    """The per-row ``simulate`` writer that the columnar writer replaced."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "y"])
+        for x, y in zip(sample.xs, sample.ys):
+            writer.writerow([repr(float(x)), repr(float(y))])
+
+
+@pytest.mark.parametrize("model", ["m1", "m2"])
+def test_simulate_matches_per_row_writer(tmp_path, model):
+    out = tmp_path / "sample.csv"
+    assert main(["simulate", "--model", model, "--n", "2049", "--seed", "12",
+                 "--output", str(out)]) == 0
+    reference_simulate_csv(draw(sim_model(model), 2049, 12), tmp_path / "ref.csv")
+    assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_simulate_deterministic(tmp_path):
@@ -180,6 +211,25 @@ def test_bad_bandwidth_text(capsys):
     assert "auto" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["bands", "--model", "m1", "--epsilon", "1.5"],
+    ["plotdata", "--model", "m1", "--epsilon", "1.5"],
+    ["quantile", "--model", "m1", "--alpha", "1.5"],
+    ["regression", "--model", "m1", "--y-range", "1:0"],
+    ["experiment", "sup", "--model", "m1", "--reps", "0"],
+    ["experiment", "coverage", "--model", "m1", "--epsilon", "0"],
+    ["bands", "--model", "m1", "--n", "0"],
+], ids=["bands-epsilon", "plotdata-epsilon", "quantile-alpha", "regression-y-range",
+        "sup-reps", "coverage-epsilon", "bands-n"])
+def test_out_of_range_values_exit_one_without_traceback(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main(argv + ["--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # Experiments and plot data
 # ---------------------------------------------------------------------------
@@ -276,7 +326,7 @@ def test_console_script_smoke(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "condbands.cli", "simulate", "--model", "m1",
          "--n", "20", "--seed", "1", "--output", str(out)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=CHILD_ENV,
     )
     assert proc.returncode == 0, proc.stderr
     assert out.read_text().splitlines()[0] == "x,y"
@@ -290,7 +340,8 @@ def test_console_script_smoke(tmp_path):
     call = (f"import importlib, sys; "
             f"sys.exit(getattr(importlib.import_module({module!r}), {attr!r})())")
     proc = subprocess.run(
-        [sys.executable, "-c", call, "--help"], capture_output=True, text=True
+        [sys.executable, "-c", call, "--help"], capture_output=True, text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: condbands")
