@@ -126,18 +126,17 @@ def _range_spec(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"bad range spec {text!r}") from None
 
 
-def _int_list(text: str) -> tuple:
-    try:
-        return tuple(int(p) for p in text.split(",") if p)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from None
-
-
-def _float_list(text: str) -> tuple:
-    try:
-        return tuple(float(p) for p in text.split(",") if p)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad float list {text!r}") from None
+def _list_type(convert, what: str):
+    """argparse type for a non-empty comma-separated list of ``convert`` values."""
+    def parse(text: str) -> tuple:
+        try:
+            values = tuple(convert(p) for p in text.split(",") if p)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad {what} list {text!r}") from None
+        if not values:
+            raise argparse.ArgumentTypeError(f"{what} list {text!r} is empty")
+        return values
+    return parse
 
 
 def _add_source_args(sub):
@@ -201,20 +200,15 @@ def build_parser() -> argparse.ArgumentParser:
         "experiment", choices=["sup", "coverage", "bochner", "em-constant"]
     )
     p.add_argument("--model", choices=["m1", "m2"], required=True)
-    p.add_argument("--n-list", type=_int_list, default=(500,), metavar="N1,N2,...")
+    p.add_argument("--n-list", type=_list_type(int, "integer"), default=(500,), metavar="N1,N2,...")
     p.add_argument("--reps", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epsilon", type=float, default=0.5)
-    p.add_argument(
-        "--kernel", default="epanechnikov", choices=["epanechnikov", "uniform", "gaussian"]
-    )
-    p.add_argument("--bandwidth", default="auto")
-    p.add_argument("--order", type=int, default=1, choices=[0, 1, 2])
-    p.add_argument("--x-grid", type=_grid_spec, default=(-1.0, 1.0, 41), metavar="START:STOP:COUNT")
+    _add_fit_args(p)
     p.add_argument("--interval", type=_range_spec, default=(-1.0, 1.0), metavar="LO:HI")
     p.add_argument("--x", type=float, default=0.0, help="location for bochner")
     p.add_argument("--t", type=float, default=0.5, help="response point for bochner")
-    p.add_argument("--h-list", type=_float_list, default=(0.4, 0.2, 0.1, 0.05))
+    p.add_argument("--h-list", type=_list_type(float, "float"), default=(0.4, 0.2, 0.1, 0.05))
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--output", required=True)
 
@@ -231,13 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_args(argv=None) -> RunConfig:
-    ns = build_parser().parse_args(argv)
-    fields = {f for f in RunConfig.__dataclass_fields__}
-    kwargs = {k: v for k, v in vars(ns).items() if k in fields and v is not None}
-    if ns.command == "plotdata" and getattr(ns, "t_grid", None) is None:
-        kwargs.pop("t_grid", None)
-        kwargs["t_grid"] = None
-    return RunConfig(**kwargs)
+    return RunConfig(**vars(build_parser().parse_args(argv)))
 
 
 def _load_sample(config: RunConfig):

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -55,6 +55,10 @@ _QUAD_TOL = 1e-8
 def default_x_grid(interval: tuple[float, float] = DEFAULT_INTERVAL, count: int = 41) -> np.ndarray:
     """Evaluation grid used by the experiments: equally spaced on the interval."""
     return np.linspace(interval[0], interval[1], count)
+
+
+def _as_grid(x_grid, interval: tuple[float, float] = DEFAULT_INTERVAL) -> np.ndarray:
+    return default_x_grid(interval) if x_grid is None else np.asarray(x_grid, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +265,9 @@ def sup_deviation_statistic(
     measures total error, with ``reference="centering"`` stochastic error
     only.
     """
-    grid = default_x_grid() if x_grid is None else np.asarray(x_grid, dtype=float)
-    (devs,), halves, _ = _location_deviations(sample, model, cfg, grid, (reference,))
+    (devs,), halves, _ = _location_deviations(
+        sample, model, cfg, _as_grid(x_grid), (reference,)
+    )
     return band_normalized_sup(devs, halves)
 
 
@@ -278,12 +283,16 @@ def normalized_sup_statistic(
     Its limit is the kernel l2 norm over sqrt(2 inf f_X) on the covered
     interval.
     """
-    grid = default_x_grid() if x_grid is None else np.asarray(x_grid, dtype=float)
+    return _normalized_sup(sample, model, cfg, _as_grid(x_grid), order)[0]
+
+
+def _normalized_sup(sample, model, cfg, grid, order):
+    """:func:`normalized_sup_statistic` and the number of skipped locations."""
     use_cfg = cfg if order is None else replace(cfg, order=order)
-    (devs,), _, _ = _location_deviations(sample, model, use_cfg, grid, ("centering",))
+    (devs,), _, skipped = _location_deviations(sample, model, use_cfg, grid, ("centering",))
     h = cfg.bandwidth
     scale = math.sqrt(sample.n * h / math.log(1.0 / h))
-    return scale * float(devs.max())
+    return scale * float(devs.max()), skipped
 
 
 # ---------------------------------------------------------------------------
@@ -305,18 +314,7 @@ class ExperimentReport:
     flags: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        doc = {
-            "kind": self.kind,
-            "model": self.model,
-            "n_values": self.n_values,
-            "reps": self.reps,
-            "seed": self.seed,
-            "params": self.params,
-            "summaries": self.summaries,
-            "reference": self.reference,
-            "flags": self.flags,
-        }
-        return json.dumps(doc, sort_keys=True, indent=2)
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
 
 def _stats(values: np.ndarray) -> dict:
@@ -328,23 +326,66 @@ def _stats(values: np.ndarray) -> dict:
     }
 
 
-def _rep_seed(seed: int, rep: int) -> np.random.SeedSequence:
-    """Child stream for one replication; distinct from the root seed."""
-    return np.random.SeedSequence(seed, spawn_key=(rep,))
-
-
-def _run_reps(fn, reps: int, workers: int):
-    if workers <= 1:
-        return [fn(r) for r in range(reps)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(reps)))
-
-
-def _check_experiment_args(n, reps):
+def _check_experiment_args(n, reps, workers):
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+
+
+def _replicate(model, n, reps, seed, workers, stat) -> list[np.ndarray]:
+    """Columns of ``stat(sample)`` over replications 0 .. reps - 1.
+
+    Replication r draws its sample from the child stream with spawn key
+    (r,) of ``seed``; with ``workers > 1`` the replications run on a
+    thread pool.  ``stat`` returns a tuple, and column i holds its i-th
+    entries in replication order, so the columns do not depend on the
+    worker count.
+    """
+    def one(r):
+        return stat(draw(model, n, np.random.SeedSequence(seed, spawn_key=(r,))))
+
+    if workers == 1:
+        results = [one(r) for r in range(reps)]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(one, range(reps)))
+    return [np.array(column) for column in zip(*results)]
+
+
+def _replicated_report(
+    kind, model, n, reps, seed, cfg, grid, skipped, *, params, summary, reference, flags
+) -> ExperimentReport:
+    """Report of one replicated experiment; adds the keys every such report shares.
+
+    ``skipped`` is the column of skipped-location counts per replication.
+    """
+    return ExperimentReport(
+        kind=kind,
+        model=model.kind,
+        n_values=[int(n)],
+        reps=int(reps),
+        seed=int(seed),
+        params={
+            "kernel": cfg.kernel.name,
+            "bandwidth": cfg.bandwidth,
+            "x_grid": [float(grid[0]), float(grid[-1]), int(grid.size)],
+            **params,
+        },
+        summaries=[
+            {
+                "n": int(n),
+                "bandwidth": cfg.bandwidth,
+                "reps": int(reps),
+                "skipped_locations": int(skipped.sum()),
+                **summary,
+            }
+        ],
+        reference=reference,
+        flags=flags,
+    )
 
 
 def sup_experiment(
@@ -357,44 +398,25 @@ def sup_experiment(
     workers: int = 1,
 ) -> ExperimentReport:
     """Replicated sup-deviation statistics against both references."""
-    _check_experiment_args(n, reps)
-    grid = default_x_grid() if x_grid is None else np.asarray(x_grid, dtype=float)
+    _check_experiment_args(n, reps, workers)
+    grid = _as_grid(x_grid)
 
-    def one(r):
-        sample = draw(model, n, _rep_seed(seed, r))
-        (d_tot, d_sto), halves, sk = _location_deviations(
+    def stat(sample):
+        (d_tot, d_sto), halves, skipped = _location_deviations(
             sample, model, cfg, grid, ("true", "centering")
         )
-        return band_normalized_sup(d_tot, halves), band_normalized_sup(d_sto, halves), sk
+        return band_normalized_sup(d_tot, halves), band_normalized_sup(d_sto, halves), skipped
 
-    results = _run_reps(one, reps, workers)
-    total = np.array([r[0] for r in results])
-    stoch = np.array([r[1] for r in results])
-    skipped = int(sum(r[2] for r in results))
+    total, stoch, skipped = _replicate(model, n, reps, seed, workers, stat)
     med = float(np.median(stoch))
-    return ExperimentReport(
-        kind="sup",
-        model=model.kind,
-        n_values=[int(n)],
-        reps=int(reps),
-        seed=int(seed),
-        params={
-            "kernel": cfg.kernel.name,
-            "bandwidth": cfg.bandwidth,
-            "order": cfg.order,
-            "x_grid": [float(grid[0]), float(grid[-1]), int(grid.size)],
+    return _replicated_report(
+        "sup", model, n, reps, seed, cfg, grid, skipped,
+        params={"order": cfg.order},
+        summary={
+            "total_error": _stats(total),
+            "stochastic_error": _stats(stoch),
+            "stochastic_abs_gap": _stats(np.abs(stoch - 1.0)),
         },
-        summaries=[
-            {
-                "n": int(n),
-                "bandwidth": cfg.bandwidth,
-                "reps": int(reps),
-                "skipped_locations": skipped,
-                "total_error": _stats(total),
-                "stochastic_error": _stats(stoch),
-                "stochastic_abs_gap": _stats(np.abs(stoch - 1.0)),
-            }
-        ],
         reference={
             "value": 1.0,
             "provenance": "probability limit of the half-width-normalized sup deviation",
@@ -419,52 +441,32 @@ def coverage_experiment(
     normalized sup deviation is at most 1 + epsilon; the narrowed band
     corresponds to 1 - epsilon.
     """
-    _check_experiment_args(n, reps)
+    _check_experiment_args(n, reps, workers)
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    grid = default_x_grid() if x_grid is None else np.asarray(x_grid, dtype=float)
+    grid = _as_grid(x_grid)
 
-    def one(r):
-        sample = draw(model, n, _rep_seed(seed, r))
-        (devs,), halves, sk = _location_deviations(sample, model, cfg, grid, ("true",))
-        return band_normalized_sup(devs, halves), sk
+    def stat(sample):
+        (devs,), halves, skipped = _location_deviations(sample, model, cfg, grid, ("true",))
+        return band_normalized_sup(devs, halves), skipped
 
-    results = _run_reps(one, reps, workers)
-    lams = np.array([r[0] for r in results])
-    skipped = int(sum(r[1] for r in results))
+    lams, skipped = _replicate(model, n, reps, seed, workers, stat)
     upper_hits = lams <= 1.0 + epsilon
     lower_hits = lams <= 1.0 - epsilon
-    nesting = bool(np.all(upper_hits >= lower_hits))
-    return ExperimentReport(
-        kind="coverage",
-        model=model.kind,
-        n_values=[int(n)],
-        reps=int(reps),
-        seed=int(seed),
-        params={
-            "kernel": cfg.kernel.name,
-            "bandwidth": cfg.bandwidth,
-            "order": cfg.order,
-            "epsilon": epsilon,
-            "x_grid": [float(grid[0]), float(grid[-1]), int(grid.size)],
+    return _replicated_report(
+        "coverage", model, n, reps, seed, cfg, grid, skipped,
+        params={"order": cfg.order, "epsilon": epsilon},
+        summary={
+            "upper_coverage": float(np.mean(upper_hits)),
+            "lower_coverage": float(np.mean(lower_hits)),
+            "statistic": _stats(lams),
         },
-        summaries=[
-            {
-                "n": int(n),
-                "bandwidth": cfg.bandwidth,
-                "reps": int(reps),
-                "skipped_locations": skipped,
-                "upper_coverage": float(np.mean(upper_hits)),
-                "lower_coverage": float(np.mean(lower_hits)),
-                "statistic": _stats(lams),
-            }
-        ],
         reference={
             "value": 1.0,
             "provenance": "upper coverage tends to one and lower coverage to zero "
             "as the normalized sup deviation concentrates at 1",
         },
-        flags={"nesting_holds_every_rep": nesting},
+        flags={"nesting_holds_every_rep": bool(np.all(upper_hits >= lower_hits))},
     )
 
 
@@ -568,51 +570,29 @@ def em_constant_experiment(
 
     The statistic sqrt(n h / log(1/h)) * sup |estimate - centering| is
     computed for the order-0 and order-1 estimators; its limit is the
-    kernel l2 norm over sqrt(2 inf f_X) on the interval.
+    kernel l2 norm over sqrt(2 inf f_X) on the interval.  Skipped
+    locations are counted over both fits.
     """
-    _check_experiment_args(n, reps)
+    _check_experiment_args(n, reps, workers)
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
         raise ValueError(f"interval must satisfy a < b, got ({a}, {b})")
-    grid = (
-        default_x_grid((a, b)) if x_grid is None else np.asarray(x_grid, dtype=float)
-    )
+    grid = _as_grid(x_grid, (a, b))
     inf_fx = float(marginal_density(model, np.linspace(a, b, 2049)).min())
     theta = math.sqrt(cfg.kernel.l2_norm_sq) / math.sqrt(2.0 * inf_fx)
 
-    def one(r):
-        sample = draw(model, n, _rep_seed(seed, r))
-        return (
-            normalized_sup_statistic(sample, model, cfg, grid, order=0),
-            normalized_sup_statistic(sample, model, cfg, grid, order=1),
-        )
+    def stat(sample):
+        stat0, skipped0 = _normalized_sup(sample, model, cfg, grid, 0)
+        stat1, skipped1 = _normalized_sup(sample, model, cfg, grid, 1)
+        return stat0, stat1, skipped0 + skipped1
 
-    results = _run_reps(one, reps, workers)
-    stats0 = np.array([r[0] for r in results])
-    stats1 = np.array([r[1] for r in results])
+    stats0, stats1, skipped = _replicate(model, n, reps, seed, workers, stat)
     med0 = float(np.median(stats0))
     med1 = float(np.median(stats1))
-    return ExperimentReport(
-        kind="em-constant",
-        model=model.kind,
-        n_values=[int(n)],
-        reps=int(reps),
-        seed=int(seed),
-        params={
-            "kernel": cfg.kernel.name,
-            "bandwidth": cfg.bandwidth,
-            "interval": [a, b],
-            "x_grid": [float(grid[0]), float(grid[-1]), int(grid.size)],
-        },
-        summaries=[
-            {
-                "n": int(n),
-                "bandwidth": cfg.bandwidth,
-                "reps": int(reps),
-                "order0": _stats(stats0),
-                "order1": _stats(stats1),
-            }
-        ],
+    return _replicated_report(
+        "em-constant", model, n, reps, seed, cfg, grid, skipped,
+        params={"interval": [a, b]},
+        summary={"order0": _stats(stats0), "order1": _stats(stats1)},
         reference={
             "value": theta,
             "provenance": "kernel l2 norm over sqrt(2 * minimum design density "

@@ -219,8 +219,10 @@ def test_bad_bandwidth_text(capsys):
     ["experiment", "sup", "--model", "m1", "--reps", "0"],
     ["experiment", "coverage", "--model", "m1", "--epsilon", "0"],
     ["bands", "--model", "m1", "--n", "0"],
+    ["experiment", "sup", "--model", "m1", "--n-list", "200", "--reps", "2", "--workers", "0"],
+    ["experiment", "sup", "--model", "m1", "--n-list", "200", "--reps", "2", "--workers", "-3"],
 ], ids=["bands-epsilon", "plotdata-epsilon", "quantile-alpha", "regression-y-range",
-        "sup-reps", "coverage-epsilon", "bands-n"])
+        "sup-reps", "coverage-epsilon", "bands-n", "sup-workers-0", "sup-workers-negative"])
 def test_out_of_range_values_exit_one_without_traceback(tmp_path, capsys, argv):
     out = tmp_path / "out"
     assert main(argv + ["--output", str(out)]) == 1
@@ -318,6 +320,29 @@ def test_parse_args_round_trip():
     assert config.epsilon == 0.3
     assert config.clip is False
     assert config.t_grid == "jumps"
+    # plotdata's default t grid is None: a 101-point span of the responses
+    plot = parse_args(["plotdata", "--model", "m1", "--output", "out.csv"])
+    assert plot.t_grid is None
+    assert plot.svg is None and plot.input is None
+    # the experiment subcommand shares the fit options and their defaults
+    exp = parse_args(["experiment", "sup", "--model", "m1", "--output", "out.json"])
+    assert (exp.kernel, exp.bandwidth, exp.order, exp.x_grid) == (
+        "epanechnikov", "auto", 1, (-1.0, 1.0, 41)
+    )
+    assert (exp.n_list, exp.reps, exp.epsilon, exp.workers) == ((500,), 100, 0.5, 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "sup", "--model", "m1", "--n-list", ","],
+    ["experiment", "bochner", "--model", "m1", "--h-list", ""],
+], ids=["n-list", "h-list"])
+def test_empty_number_lists_are_usage_errors(tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--output", str(out)])
+    assert exc.value.code == 2
+    assert "is empty" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_console_script_smoke(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -274,6 +275,43 @@ def test_sup_experiment_fits_each_location_once():
     grid = np.linspace(-1.0, 1.0, 9)
     sup_experiment(M1, n, reps, c, grid, seed=4)
     assert len(calls) == reps * grid.size
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_replicated_experiments_reject_workers_below_one(workers):
+    c = cfg()
+    with pytest.raises(ValueError, match="workers"):
+        sup_experiment(M1, 200, 2, c, workers=workers)
+    with pytest.raises(ValueError, match="workers"):
+        coverage_experiment(M1, 200, 2, 0.5, c, workers=workers)
+    with pytest.raises(ValueError, match="workers"):
+        em_constant_experiment(M1, 200, 2, c, workers=workers)
+
+
+def test_workers_move_replications_onto_pool_threads():
+    # worker-count determinism means something only if workers > 1 really
+    # evaluates the replications off the calling thread
+    n = 150
+    kernel, calls = counting_kernel(EPA, n)
+    c = EstimatorConfig(kernel=kernel, bandwidth=reference_bandwidth(n), order=1)
+    grid = np.linspace(-0.5, 0.5, 3)
+    sup_experiment(M1, n, 4, c, grid, seed=2, workers=1)
+    assert set(calls) == {threading.get_ident()}
+    calls.clear()
+    sup_experiment(M1, n, 4, c, grid, seed=2, workers=2)
+    assert len(calls) == 4 * grid.size
+    assert threading.get_ident() not in set(calls)
+
+
+def test_em_constant_records_skipped_locations():
+    # +-6 lies outside every window: 2 locations, 2 fits, 2 replications
+    c = EstimatorConfig(kernel=EPA, bandwidth=reference_bandwidth(200), order=1)
+    grid = [-6.0, 0.0, 6.0]
+    em = em_constant_experiment(M1, 200, 2, c, x_grid=grid, seed=1)
+    sup = sup_experiment(M1, 200, 2, c, grid, seed=1)
+    assert em.summaries[0]["skipped_locations"] == 8
+    assert sup.summaries[0]["skipped_locations"] == 4
+    assert em_constant_experiment(M1, 200, 2, c, seed=1).summaries[0]["skipped_locations"] == 0
 
 
 def test_em_constant_references():
