@@ -47,6 +47,9 @@ __all__ = [
     "density_plugin",
 ]
 
+# A design or joint density at or below this is too small for a band.
+_DENSITY_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class DensityPair:
@@ -145,15 +148,14 @@ def write_csv(
 
 
 def certainty_halfwidth(
-    l2_norm_sq: float, bandwidth: float, n: int, density_at_x: float,
-    denom_tol: float = 1e-12,
+    l2_norm_sq: float, bandwidth: float, n: int, density_at_x: float
 ) -> float:
     """The half-width formula on raw inputs; validates h and the density."""
     if not 0.0 < bandwidth < 1.0:
         raise InvalidBandwidth(
             f"half-width needs log(1/h) > 0, got bandwidth {bandwidth!r}"
         )
-    if density_at_x <= denom_tol:
+    if density_at_x <= _DENSITY_TOL:
         raise InsufficientLocalData(
             f"design density estimate {density_at_x:.3e} too small for a band"
         )
@@ -164,9 +166,7 @@ def certainty_halfwidth(
 def band_halfwidth(sample: Sample, x: float, cfg: EstimatorConfig) -> float:
     """L(x) evaluated from the sample at ``x`` under ``cfg``."""
     d0 = float(local_moments(sample, x, cfg, jmax=0)[0])
-    return certainty_halfwidth(
-        cfg.kernel.l2_norm_sq, cfg.bandwidth, sample.n, d0, cfg.denom_tol
-    )
+    return certainty_halfwidth(cfg.kernel.l2_norm_sq, cfg.bandwidth, sample.n, d0)
 
 
 def fit_grid(
@@ -187,7 +187,7 @@ def fit_grid(
         try:
             fit = local_weights(sample, x, cfg)
             half = certainty_halfwidth(
-                cfg.kernel.l2_norm_sq, cfg.bandwidth, sample.n, fit.density, cfg.denom_tol
+                cfg.kernel.l2_norm_sq, cfg.bandwidth, sample.n, fit.density
             )
         except InsufficientLocalData:
             skipped.append(float(x))
@@ -252,6 +252,8 @@ def cdf_band(
         t_grid = np.asarray(t_grid, dtype=float)
         if t_grid.size == 0:
             raise ValueError("t_grid must not be empty")
+        if np.isnan(t_grid).any():
+            raise ValueError("t_grid must not contain NaN")
 
     def block(x, fit, half_l):
         curve = fit.curve(sample, monotonize=False)
@@ -316,7 +318,6 @@ def quantile_band(
     cfg: EstimatorConfig,
     densities: Callable[[float, float], DensityPair],
     use_raw_curve: bool = False,
-    fxy_tol: float = 1e-12,
 ) -> BandTable:
     """Quantile band q_hat(x) +/- 2 * L(x) * fx / fxy.
 
@@ -338,7 +339,7 @@ def quantile_band(
             raise ZeroJointDensity(
                 f"marginal density {pair.fx!r} at x = {x} is not positive"
             )
-        if pair.fxy <= fxy_tol:
+        if pair.fxy <= _DENSITY_TOL:
             raise ZeroJointDensity(
                 f"joint density {pair.fxy!r} at (x, q) = ({x}, {q}) below tolerance"
             )

@@ -13,7 +13,6 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,40 +28,7 @@ from .simulation import (
     true_cdf,
 )
 
-__all__ = ["RunConfig", "ingest_csv", "build_parser", "parse_args", "run", "main"]
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation; one instance per CLI run."""
-
-    command: str
-    output: str
-    input: str | None = None
-    model: str | None = None
-    n: int = 500
-    seed: int = 0
-    kernel: str = "epanechnikov"
-    bandwidth: str = "auto"
-    order: int = 1
-    x_grid: tuple = (-1.0, 1.0, 41)
-    t_grid: object = "jumps"
-    epsilon: float = 0.0
-    alpha: float = 0.5
-    y_range: tuple | None = None
-    clip: bool = True
-    density: str = "plugin"
-    raw_curve: bool = False
-    experiment: str | None = None
-    n_list: tuple = (500,)
-    reps: int = 100
-    h_list: tuple = (0.4, 0.2, 0.1, 0.05)
-    x: float = 0.0
-    t: float = 0.5
-    interval: tuple = (-1.0, 1.0)
-    workers: int = 1
-    fmt: str = "csv"
-    svg: str | None = None
+__all__ = ["ingest_csv", "build_parser", "parse_args", "run", "main"]
 
 
 def ingest_csv(path: str) -> Sample:
@@ -97,12 +63,23 @@ def ingest_csv(path: str) -> Sample:
     return Sample(xs=np.asarray(xs), ys=np.asarray(ys))
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for a float; NaN and +-inf are usage errors too."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _grid_spec(text: str) -> tuple:
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected start:stop:count, got {text!r}")
     try:
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        start, stop, count = _finite_float(parts[0]), _finite_float(parts[1]), int(parts[2])
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad grid spec {text!r}") from None
     if count < 1:
@@ -121,7 +98,7 @@ def _range_spec(text: str) -> tuple:
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected lo:hi, got {text!r}")
     try:
-        return (float(parts[0]), float(parts[1]))
+        return (_finite_float(parts[0]), _finite_float(parts[1]))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad range spec {text!r}") from None
 
@@ -146,15 +123,41 @@ def _add_source_args(sub):
     sub.add_argument("--seed", type=int, default=0)
 
 
-def _add_fit_args(sub):
+def _add_kernel_arg(sub):
     sub.add_argument(
         "--kernel", default="epanechnikov", choices=["epanechnikov", "uniform", "gaussian"]
     )
+
+
+def _add_fit_args(sub, order: bool = True):
+    _add_kernel_arg(sub)
     sub.add_argument(
         "--bandwidth", default="auto", help='bandwidth in (0,1) or "auto" for n**(-1/5)'
     )
-    sub.add_argument("--order", type=int, default=1, choices=[0, 1, 2])
+    if order:
+        sub.add_argument("--order", type=int, default=1, choices=[0, 1, 2])
     sub.add_argument("--x-grid", type=_grid_spec, default=(-1.0, 1.0, 41), metavar="START:STOP:COUNT")
+
+
+def _add_experiment(kinds, kind: str, runner):
+    """Parser of one experiment kind; ``runner(config)`` returns its reports.
+
+    Abbreviations are off: ``--x`` would otherwise pass for ``--x-grid`` on
+    the kinds that do not read ``--x``.
+    """
+    sub = kinds.add_parser(kind, allow_abbrev=False)
+    sub.set_defaults(runner=runner)
+    sub.add_argument("--model", choices=["m1", "m2"], required=True)
+    sub.add_argument("--output", required=True)
+    return sub
+
+
+def _add_replication_args(sub, order: bool = True):
+    sub.add_argument("--n-list", type=_list_type(int, "integer"), default=(500,), metavar="N1,N2,...")
+    sub.add_argument("--reps", type=int, default=100)
+    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--workers", type=int, default=1)
+    _add_fit_args(sub, order)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -174,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_args(p)
     _add_fit_args(p)
     p.add_argument("--t-grid", type=_t_grid_spec, default="jumps", metavar="START:STOP:COUNT|jumps")
-    p.add_argument("--epsilon", type=float, default=0.0)
+    p.add_argument("--epsilon", type=_finite_float, default=0.0)
     p.add_argument("--clip", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
     p.add_argument("--output", required=True)
@@ -189,34 +192,34 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("quantile", help="quantile band table")
     _add_source_args(p)
     _add_fit_args(p)
-    p.add_argument("--alpha", type=float, default=0.5)
+    p.add_argument("--alpha", type=_finite_float, default=0.5)
     p.add_argument("--density", choices=["plugin", "oracle"], default="plugin")
     p.add_argument("--raw-curve", action="store_true", help="invert the raw curve")
     p.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
     p.add_argument("--output", required=True)
 
     p = subs.add_parser("experiment", help="run a verification experiment")
-    p.add_argument(
-        "experiment", choices=["sup", "coverage", "bochner", "em-constant"]
-    )
-    p.add_argument("--model", choices=["m1", "m2"], required=True)
-    p.add_argument("--n-list", type=_list_type(int, "integer"), default=(500,), metavar="N1,N2,...")
-    p.add_argument("--reps", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epsilon", type=float, default=0.5)
-    _add_fit_args(p)
-    p.add_argument("--interval", type=_range_spec, default=(-1.0, 1.0), metavar="LO:HI")
-    p.add_argument("--x", type=float, default=0.0, help="location for bochner")
-    p.add_argument("--t", type=float, default=0.5, help="response point for bochner")
-    p.add_argument("--h-list", type=_list_type(float, "float"), default=(0.4, 0.2, 0.1, 0.05))
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--output", required=True)
+    kinds = p.add_subparsers(dest="experiment", required=True)
+    k = _add_experiment(kinds, "sup", _each_n(exp_mod.sup_experiment))
+    _add_replication_args(k)
+    k = _add_experiment(kinds, "coverage", _each_n(exp_mod.coverage_experiment, "epsilon"))
+    _add_replication_args(k)
+    k.add_argument("--epsilon", type=_finite_float, default=0.5)
+    k = _add_experiment(kinds, "bochner", _bochner)
+    _add_kernel_arg(k)
+    k.add_argument("--x", type=_finite_float, default=0.0, help="location")
+    k.add_argument("--t", type=_finite_float, default=0.5, help="response point")
+    k.add_argument("--h-list", type=_list_type(_finite_float, "float"), default=(0.4, 0.2, 0.1, 0.05))
+    # em-constant fits orders 0 and 1 itself
+    k = _add_experiment(kinds, "em-constant", _each_n(exp_mod.em_constant_experiment, "interval"))
+    _add_replication_args(k, order=False)
+    k.add_argument("--interval", type=_range_spec, default=(-1.0, 1.0), metavar="LO:HI")
 
     p = subs.add_parser("plotdata", help="long-format curve/band data for plotting")
     _add_source_args(p)
     _add_fit_args(p)
     p.add_argument("--t-grid", type=_t_grid_spec, default=None, metavar="START:STOP:COUNT|jumps")
-    p.add_argument("--epsilon", type=float, default=0.0)
+    p.add_argument("--epsilon", type=_finite_float, default=0.0)
     p.add_argument("--clip", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--svg", help="also write a minimal SVG rendering")
     p.add_argument("--output", required=True)
@@ -224,11 +227,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv=None) -> RunConfig:
-    return RunConfig(**vars(build_parser().parse_args(argv)))
+def parse_args(argv=None) -> argparse.Namespace:
+    return build_parser().parse_args(argv)
 
 
-def _load_sample(config: RunConfig):
+def _load_sample(config: argparse.Namespace):
     if (config.input is None) == (config.model is None):
         raise CondBandsError("exactly one of --input and --model is required")
     if config.input is not None:
@@ -237,7 +240,7 @@ def _load_sample(config: RunConfig):
     return draw(model, config.n, config.seed), model
 
 
-def _resolve_bandwidth(config: RunConfig, n: int) -> float:
+def _resolve_bandwidth(config: argparse.Namespace, n: int) -> float:
     if config.bandwidth == "auto":
         return reference_bandwidth(n)
     try:
@@ -248,11 +251,13 @@ def _resolve_bandwidth(config: RunConfig, n: int) -> float:
         ) from None
 
 
-def _estimator_config(config: RunConfig, n: int) -> EstimatorConfig:
+def _estimator_config(config: argparse.Namespace, n: int) -> EstimatorConfig:
+    # em-constant declares no --order, and gets the library default
+    order = {"order": config.order} if "order" in config else {}
     return EstimatorConfig(
         kernel=get_kernel(config.kernel),
         bandwidth=_resolve_bandwidth(config, n),
-        order=config.order,
+        **order,
     )
 
 
@@ -261,7 +266,7 @@ def _linspace(spec) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def _write_table(table, config: RunConfig) -> None:
+def _write_table(table, config: argparse.Namespace) -> None:
     if config.fmt == "json":
         with open(config.output, "w") as fh:
             fh.write(table.to_json())
@@ -270,14 +275,14 @@ def _write_table(table, config: RunConfig) -> None:
         table.to_csv(config.output)
 
 
-def _cmd_simulate(config: RunConfig) -> int:
+def _cmd_simulate(config: argparse.Namespace) -> int:
     sample = draw(sim_model(config.model), config.n, config.seed)
     with open(config.output, "w", newline="") as fh:
         bands_mod.write_csv(fh, ("x", "y"), (sample.xs, sample.ys))
     return 0
 
 
-def _cmd_bands(config: RunConfig) -> int:
+def _cmd_bands(config: argparse.Namespace) -> int:
     sample, _ = _load_sample(config)
     cfg = _estimator_config(config, sample.n)
     t_grid = config.t_grid if config.t_grid == "jumps" else _linspace(config.t_grid)
@@ -289,7 +294,7 @@ def _cmd_bands(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_regression(config: RunConfig) -> int:
+def _cmd_regression(config: argparse.Namespace) -> int:
     sample, _ = _load_sample(config)
     cfg = _estimator_config(config, sample.n)
     table = bands_mod.regression_band(
@@ -299,7 +304,7 @@ def _cmd_regression(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_quantile(config: RunConfig) -> int:
+def _cmd_quantile(config: argparse.Namespace) -> int:
     sample, model = _load_sample(config)
     cfg = _estimator_config(config, sample.n)
     if config.density == "oracle":
@@ -318,34 +323,33 @@ def _cmd_quantile(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_experiment(config: RunConfig) -> int:
-    model = sim_model(config.model)
-    reports = []
-    if config.experiment == "bochner":
-        reports.append(
-            exp_mod.bochner_check(
-                model, config.x, config.h_list, get_kernel(config.kernel), t=config.t
+def _each_n(experiment, *own: str):
+    """Runner of a replicated experiment kind: one report per --n-list entry.
+
+    ``own`` names the options of the kind alone; each is passed on as the
+    keyword argument of the same name.
+    """
+    def runner(config):
+        model = sim_model(config.model)
+        kwargs = {name: getattr(config, name) for name in own}
+        return [
+            experiment(
+                model, n, config.reps, cfg=_estimator_config(config, n),
+                x_grid=_linspace(config.x_grid), seed=config.seed,
+                workers=config.workers, **kwargs,
             )
-        )
-    else:
-        for n in config.n_list:
-            cfg = _estimator_config(config, n)
-            grid = _linspace(config.x_grid)
-            if config.experiment == "sup":
-                rep = exp_mod.sup_experiment(
-                    model, n, config.reps, cfg, grid, config.seed, config.workers
-                )
-            elif config.experiment == "coverage":
-                rep = exp_mod.coverage_experiment(
-                    model, n, config.reps, config.epsilon, cfg, grid,
-                    config.seed, config.workers,
-                )
-            else:
-                rep = exp_mod.em_constant_experiment(
-                    model, n, config.reps, cfg, config.interval, grid,
-                    config.seed, config.workers,
-                )
-            reports.append(rep)
+            for n in config.n_list
+        ]
+    return runner
+
+
+def _bochner(config):
+    kernel = get_kernel(config.kernel)
+    return [exp_mod.bochner_check(sim_model(config.model), config.x, config.h_list, kernel, t=config.t)]
+
+
+def _cmd_experiment(config: argparse.Namespace) -> int:
+    reports = config.runner(config)
     with open(config.output, "w") as fh:
         if len(reports) == 1:
             fh.write(reports[0].to_json())
@@ -413,7 +417,7 @@ def _write_svg(path, panels):
         fh.write("\n")
 
 
-def _cmd_plotdata(config: RunConfig) -> int:
+def _cmd_plotdata(config: argparse.Namespace) -> int:
     sample, model = _load_sample(config)
     cfg = _estimator_config(config, sample.n)
     if config.t_grid is None:
@@ -473,7 +477,7 @@ _COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> int:
+def run(config: argparse.Namespace) -> int:
     return _COMMANDS[config.command](config)
 
 

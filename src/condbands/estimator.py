@@ -16,6 +16,7 @@ weights, hence raw distribution curves need not be monotone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,9 @@ __all__ = [
     "quantile_estimate",
     "reference_bandwidth",
 ]
+
+# A local fit whose denominator is below this in absolute value is degenerate.
+_DENOM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -70,14 +74,12 @@ class EstimatorConfig:
     """Settings shared by all local fits.
 
     ``bandwidth`` must lie in the open interval (0, 1); the band theory
-    relies on log(1/h) > 0.  ``denom_tol`` is the absolute threshold below
-    which a local fit's denominator counts as degenerate.
+    relies on log(1/h) > 0.
     """
 
     kernel: Kernel
     bandwidth: float
     order: int = 1
-    denom_tol: float = 1e-12
 
     def __post_init__(self):
         if not 0.0 < self.bandwidth < 1.0:
@@ -86,8 +88,6 @@ class EstimatorConfig:
             )
         if self.order not in (0, 1, 2):
             raise ValueError(f"order must be 0, 1 or 2, got {self.order!r}")
-        if not self.denom_tol > 0.0:
-            raise ValueError("denom_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -166,6 +166,8 @@ class CdfCurve:
 
 def _window(sample: Sample, x: float, cfg: EstimatorConfig):
     """Scaled distances, kernel values and the n*h normalizer at ``x``."""
+    if not math.isfinite(x):
+        raise ValueError(f"location x must be finite, got {x!r}")
     u = (x - sample.xs) / cfg.bandwidth
     k = cfg.kernel.eval(u)
     return u, k, sample.n * cfg.bandwidth
@@ -207,7 +209,7 @@ def _weight_vector(u, k, nh, cfg):
     """Raw weight vector for the configured order; raises on degenerate fits."""
     if cfg.order == 0:
         denom = float(k.sum()) / nh
-        if abs(denom) < cfg.denom_tol:
+        if abs(denom) < _DENOM_TOL:
             raise InsufficientLocalData(
                 f"no kernel mass near x (order 0 denominator {denom:.3e})"
             )
@@ -215,7 +217,7 @@ def _weight_vector(u, k, nh, cfg):
     if cfg.order == 1:
         m = _power_sums(u, k, nh, 2)
         denom = m[0] * m[2] - m[1] ** 2
-        if abs(denom) < cfg.denom_tol:
+        if abs(denom) < _DENOM_TOL:
             raise InsufficientLocalData(
                 f"degenerate local linear fit at x (denominator {denom:.3e})"
             )
@@ -225,7 +227,7 @@ def _weight_vector(u, k, nh, cfg):
     a2 = m[2] * m[3] - m[1] * m[4]
     a3 = m[1] * m[3] - m[2] ** 2
     denom = a1 * m[0] + a2 * m[1] + a3 * m[2]
-    if abs(denom) < cfg.denom_tol:
+    if abs(denom) < _DENOM_TOL:
         raise InsufficientLocalData(
             f"degenerate local quadratic fit at x (denominator {denom:.3e})"
         )

@@ -157,6 +157,25 @@ def test_cdf_band_validation():
         cdf_band(sample, [0.0], np.array([]), cfg())
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_band_functions_reject_non_finite_locations(bad):
+    s = draw(M1, 300, 3)
+    grid = [0.0, bad, 0.5]
+    with pytest.raises(ValueError, match="location x must be finite"):
+        cdf_band(s, grid, "jumps", cfg())
+    with pytest.raises(ValueError, match="location x must be finite"):
+        regression_band(s, grid, cfg(), (0.0, 1.0))
+
+
+def test_cdf_band_rejects_nan_t():
+    s = draw(M1, 300, 3)
+    with pytest.raises(ValueError, match="NaN"):
+        cdf_band(s, [0.0], [0.2, np.nan, 0.8], cfg())
+    # infinite response points are legal: the curve is 0 and 1 there
+    table = cdf_band(s, [0.0], [-np.inf, np.inf], cfg(), clip=False)
+    assert table.estimate.tolist() == [0.0, pytest.approx(1.0)]
+
+
 def test_cdf_band_metadata():
     sample = draw(M1, 120, 2)
     c = cfg(h=0.35, order=2)

@@ -238,7 +238,7 @@ def test_out_of_range_values_exit_one_without_traceback(tmp_path, capsys, argv):
 
 def test_experiment_em_constant_deterministic(tmp_path):
     args = ["experiment", "em-constant", "--model", "m1", "--n-list", "150",
-            "--reps", "3", "--seed", "21", "--order", "0"]
+            "--reps", "3", "--seed", "21"]
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
     c = tmp_path / "c.json"
@@ -329,7 +329,72 @@ def test_parse_args_round_trip():
     assert (exp.kernel, exp.bandwidth, exp.order, exp.x_grid) == (
         "epanechnikov", "auto", 1, (-1.0, 1.0, 41)
     )
-    assert (exp.n_list, exp.reps, exp.epsilon, exp.workers) == ((500,), 100, 0.5, 1)
+    assert (exp.n_list, exp.reps, exp.workers) == ((500,), 100, 1)
+    cov = parse_args(["experiment", "coverage", "--model", "m1", "--output", "out.json"])
+    assert cov.epsilon == 0.5
+
+
+# The options each experiment kind reads.  Any other experiment option is
+# a usage error; VALUES holds a valid value for every one of them.
+_SUP = ["--model", "--n-list", "--reps", "--seed", "--workers",
+        "--kernel", "--bandwidth", "--order", "--x-grid", "--output"]
+READS = {
+    "sup": _SUP,
+    "coverage": _SUP + ["--epsilon"],
+    "bochner": ["--model", "--kernel", "--x", "--t", "--h-list", "--output"],
+    "em-constant": [o for o in _SUP if o != "--order"] + ["--interval"],
+}
+VALUES = {"--n-list": "200", "--reps": "2", "--seed": "1", "--workers": "1",
+          "--kernel": "uniform", "--bandwidth": "0.3", "--order": "0",
+          "--x-grid": "-0.5:0.5:3", "--epsilon": "0.5", "--x": "0.1", "--t": "0.4",
+          "--h-list": "0.4,0.2", "--interval": "-1:1"}
+UNREAD = [(kind, opt) for kind in READS for opt in VALUES if opt not in READS[kind]]
+
+
+@pytest.mark.parametrize("kind", READS)
+def test_experiment_kinds_parse_only_the_options_they_read(kind):
+    config = parse_args(["experiment", kind, "--model", "m1", "--output", "out.json"])
+    declared = {opt[2:].replace("-", "_") for opt in READS[kind]}
+    assert set(vars(config)) == declared | {"command", "experiment", "runner"}
+    assert len(UNREAD) == 23
+
+
+@pytest.mark.parametrize("kind,opt", UNREAD, ids=[f"{k}{o}" for k, o in UNREAD])
+def test_options_a_kind_does_not_read_are_usage_errors(tmp_path, capsys, kind, opt):
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", kind, "--model", "m1", f"{opt}={VALUES[opt]}",
+              "--output", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {opt}=" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["bands", "--model", "m1", "--n", "300", "--x-grid", "nan:1:3"],
+    ["bands", "--model", "m1", "--x-grid", "0:inf:3"],
+    ["bands", "--model", "m1", "--n", "300", "--x-grid", "0:0:1", "--t-grid", "nan:1:3"],
+    ["bands", "--model", "m1", "--epsilon", "nan"],
+    ["plotdata", "--model", "m1", "--epsilon", "inf"],
+    ["plotdata", "--model", "m1", "--t-grid=-inf:1:3"],
+    ["regression", "--model", "m1", "--n", "300", "--y-range", "0:1", "--x-grid", "nan:0:2"],
+    ["regression", "--model", "m1", "--y-range", "nan:1"],
+    ["quantile", "--model", "m1", "--alpha", "nan"],
+    ["experiment", "sup", "--model", "m1", "--x-grid", "nan:0:3"],
+    ["experiment", "coverage", "--model", "m1", "--epsilon", "nan"],
+    ["experiment", "em-constant", "--model", "m1", "--n-list", "200", "--reps", "2",
+     "--interval=-1:inf"],
+    ["experiment", "bochner", "--model", "m1", "--t", "inf"],
+    ["experiment", "bochner", "--model", "m1", "--x=-inf"],
+    ["experiment", "bochner", "--model", "m1", "--h-list", "0.4,nan"],
+])
+def test_non_finite_numbers_are_usage_errors(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--output", str(out)])
+    assert exc.value.code == 2
+    assert "expected a finite number" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -25,8 +25,8 @@ UNI = get_kernel("uniform")
 GAU = get_kernel("gaussian")
 
 
-def cfg(kernel=EPA, h=0.5, order=1, **kw):
-    return EstimatorConfig(kernel=kernel, bandwidth=h, order=order, **kw)
+def cfg(kernel=EPA, h=0.5, order=1):
+    return EstimatorConfig(kernel=kernel, bandwidth=h, order=order)
 
 
 # ---------------------------------------------------------------------------
@@ -57,8 +57,6 @@ def test_config_validation():
         cfg(h=-0.3)
     with pytest.raises(ValueError):
         cfg(order=3)
-    with pytest.raises(ValueError):
-        EstimatorConfig(kernel=EPA, bandwidth=0.5, denom_tol=0.0)
 
 
 def test_reference_bandwidth():
@@ -136,6 +134,14 @@ def test_empty_window_degenerate():
     s = Sample(xs=[0.0, 0.1], ys=[0.3, 0.4])
     with pytest.raises(InsufficientLocalData):
         local_weights(s, 50.0, cfg(h=0.5, order=0))
+
+
+@pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_non_finite_location_rejected(x, order):
+    s = Sample(xs=[-0.2, 0.0, 0.1, 0.3], ys=[0.3, 0.4, 0.5, 0.6])
+    with pytest.raises(ValueError, match="location x must be finite"):
+        local_weights(s, x, cfg(order=order))
 
 
 def test_symmetric_design_order1_equals_order0():
