@@ -171,7 +171,7 @@ def band_halfwidth(sample: Sample, x: float, cfg: EstimatorConfig) -> float:
 
 def fit_grid(
     sample: Sample,
-    x_grid: np.ndarray,
+    x_grid: Sequence[float],
     cfg: EstimatorConfig,
     reduce: Callable[[float, LocalWeights, float], object],
 ) -> tuple[list, list[float]]:
@@ -182,6 +182,9 @@ def fit_grid(
     the skipped locations.  Only the reductions are kept, not the fits, so
     memory does not grow with the grid.
     """
+    x_grid = np.asarray(x_grid, dtype=float)
+    if x_grid.size == 0:
+        raise ValueError("x_grid must not be empty")
     kept, skipped = [], []
     for x in x_grid:
         try:
@@ -241,9 +244,6 @@ def cdf_band(
     """
     if not 0.0 <= epsilon < 1.0:
         raise ValueError(f"epsilon must lie in [0, 1), got {epsilon!r}")
-    x_grid = np.asarray(x_grid, dtype=float)
-    if x_grid.size == 0:
-        raise ValueError("x_grid must not be empty")
     use_jumps = isinstance(t_grid, str)
     if use_jumps:
         if t_grid != "jumps":
@@ -298,9 +298,6 @@ def regression_band(
         raise YRangeViolation(
             f"responses fall outside the declared range [{a}, {b}]"
         )
-    x_grid = np.asarray(x_grid, dtype=float)
-    if x_grid.size == 0:
-        raise ValueError("x_grid must not be empty")
 
     def row(x, fit, half_l):
         return float(x), fit.regression(sample), (b - a) * half_l
@@ -327,9 +324,6 @@ def quantile_band(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    x_grid = np.asarray(x_grid, dtype=float)
-    if x_grid.size == 0:
-        raise ValueError("x_grid must not be empty")
     sources = []
 
     def row(x, fit, half_l):

@@ -22,6 +22,7 @@ from .errors import CondBandsError, EmptyInput, ParseError
 from .estimator import EstimatorConfig, Sample, reference_bandwidth
 from .kernels import get_kernel
 from .simulation import (
+    MODEL_KINDS,
     draw,
     oracle_density_provider,
     sim_model,
@@ -118,7 +119,7 @@ def _list_type(convert, what: str):
 
 def _add_source_args(sub):
     sub.add_argument("--input", help="CSV file with header x,y")
-    sub.add_argument("--model", choices=["m1", "m2"], help="built-in model")
+    sub.add_argument("--model", choices=MODEL_KINDS, help="built-in model")
     sub.add_argument("--n", type=int, default=500, help="sample size for --model")
     sub.add_argument("--seed", type=int, default=0)
 
@@ -147,7 +148,7 @@ def _add_experiment(kinds, kind: str, runner):
     """
     sub = kinds.add_parser(kind, allow_abbrev=False)
     sub.set_defaults(runner=runner)
-    sub.add_argument("--model", choices=["m1", "m2"], required=True)
+    sub.add_argument("--model", choices=MODEL_KINDS, required=True)
     sub.add_argument("--output", required=True)
     return sub
 
@@ -168,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("simulate", help="draw a sample from a built-in model")
-    p.add_argument("--model", choices=["m1", "m2"], required=True)
+    p.add_argument("--model", choices=MODEL_KINDS, required=True)
     p.add_argument("--n", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True)
@@ -210,9 +211,11 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--x", type=_finite_float, default=0.0, help="location")
     k.add_argument("--t", type=_finite_float, default=0.5, help="response point")
     k.add_argument("--h-list", type=_list_type(_finite_float, "float"), default=(0.4, 0.2, 0.1, 0.05))
-    # em-constant fits orders 0 and 1 itself
+    # em-constant fits orders 0 and 1 itself; without --x-grid, the library
+    # spreads its grid over --interval
     k = _add_experiment(kinds, "em-constant", _each_n(exp_mod.em_constant_experiment, "interval"))
     _add_replication_args(k, order=False)
+    k.set_defaults(x_grid=None)
     k.add_argument("--interval", type=_range_spec, default=(-1.0, 1.0), metavar="LO:HI")
 
     p = subs.add_parser("plotdata", help="long-format curve/band data for plotting")
@@ -228,7 +231,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_args(argv=None) -> argparse.Namespace:
-    return build_parser().parse_args(argv)
+    parser = build_parser()
+    config, extras = parser.parse_known_args(argv)
+    if extras:
+        _innermost(parser, config).error(f"unrecognized arguments: {' '.join(extras)}")
+    return config
+
+
+def _innermost(parser: argparse.ArgumentParser, config: argparse.Namespace):
+    """The parser of the deepest subcommand named in ``config``.
+
+    argparse hands a subparser's unrecognized arguments back to the root
+    parser, whose usage line lists only the subcommands.
+    """
+    while True:
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            return parser
+        parser = subs[0].choices[getattr(config, subs[0].dest)]
 
 
 def _load_sample(config: argparse.Namespace):
@@ -261,9 +281,9 @@ def _estimator_config(config: argparse.Namespace, n: int) -> EstimatorConfig:
     )
 
 
-def _linspace(spec) -> np.ndarray:
-    start, stop, count = spec
-    return np.linspace(start, stop, count)
+def _linspace(spec):
+    """The grid of a START:STOP:COUNT spec; None stays None."""
+    return None if spec is None else np.linspace(*spec)
 
 
 def _write_table(table, config: argparse.Namespace) -> None:

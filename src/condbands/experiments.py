@@ -29,7 +29,7 @@ from .errors import InsufficientLocalData, InvalidBandwidth, QuadratureFailure
 from .estimator import EstimatorConfig, Sample
 from .bands import fit_grid
 from .kernels import Kernel
-from .simulation import SimModel, draw, marginal_density, true_cdf, true_cdf_grid
+from .simulation import SimModel, cdf_kinks, draw, marginal_density, true_cdf, true_cdf_grid
 
 __all__ = [
     "ExperimentReport",
@@ -69,45 +69,38 @@ def smoothed_moment(
     model: SimModel, kernel: Kernel, h: float, x: float, j: int
 ) -> float:
     """Expectation of local moment j: integral of u^j K(u) f_X(x - h u) du."""
-    if not 0.0 < h < 1.0:
-        raise InvalidBandwidth(f"bandwidth must lie in (0, 1), got {h!r}")
-    a, b = kernel.support if kernel.support is not None else (-np.inf, np.inf)
-
-    def integrand(u):
-        return (u ** j) * kernel.eval(u) * marginal_density(model, x - h * u)
-
-    val, err = quad(integrand, a, b, epsabs=1e-10, epsrel=1e-10, limit=200)
-    if not math.isfinite(val) or err > _QUAD_TOL:
-        raise QuadratureFailure(
-            f"moment quadrature error {err:.2e} exceeds {_QUAD_TOL:.0e}"
-        )
-    return val
+    return _smoothed(model, kernel, h, x, j)
 
 
 def smoothed_response(
     model: SimModel, kernel: Kernel, h: float, x: float, t: float, j: int
 ) -> float:
     """Expectation of local response j: integral of u^j K(u) f_X F(t | .)."""
+    return _smoothed(model, kernel, h, x, j, t)
+
+
+def _smoothed(model, kernel, h, x, j, t=None):
+    """Adaptive quadrature of u^j K(u) f_X(x - h u), times F(t | x - h u) unless t is None.
+
+    On a compact support the panels split where x - h u meets a kink of the
+    conditional law.
+    """
     if not 0.0 < h < 1.0:
         raise InvalidBandwidth(f"bandwidth must lie in (0, 1), got {h!r}")
     a, b = kernel.support if kernel.support is not None else (-np.inf, np.inf)
 
     def integrand(u):
         v = x - h * u
-        return (u ** j) * kernel.eval(u) * marginal_density(model, v) * true_cdf(model, v, t)
+        val = (u ** j) * kernel.eval(u) * marginal_density(model, v)
+        return val if t is None else val * true_cdf(model, v, t)
 
-    kwargs = {"epsabs": 1e-10, "epsrel": 1e-10, "limit": 200}
-    if model.kind == "m2" and np.isfinite(a) and np.isfinite(b):
-        # the m2 conditional law has kinks where |x - h u| equals |t| or 0
-        pts = sorted(
-            p for p in ((x - t) / h, (x + t) / h, x / h) if a < p < b
-        )
-        if pts:
-            kwargs["points"] = pts
-    val, err = quad(integrand, a, b, **kwargs)
+    kinks = cdf_kinks(model, t) if t is not None and kernel.support is not None else ()
+    pts = sorted(p for p in ((x - z) / h for z in kinks) if a < p < b)
+    val, err = quad(integrand, a, b, epsabs=1e-10, epsrel=1e-10, limit=200, points=pts or None)
     if not math.isfinite(val) or err > _QUAD_TOL:
+        what = "moment" if t is None else "response"
         raise QuadratureFailure(
-            f"response quadrature error {err:.2e} exceeds {_QUAD_TOL:.0e}"
+            f"{what} quadrature error {err:.2e} exceeds {_QUAD_TOL:.0e}"
         )
     return val
 
@@ -470,15 +463,6 @@ def coverage_experiment(
     )
 
 
-_BOCHNER_KEYS = (
-    "density_moment_0",
-    "density_moment_1",
-    "density_moment_2",
-    "response_moment_0",
-    "response_moment_1",
-)
-
-
 def bochner_check(
     model: SimModel,
     x: float,
@@ -501,36 +485,30 @@ def bochner_check(
         raise ValueError("h_sequence must be strictly decreasing")
 
     fx = marginal_density(model, x)
-    cdf_val = true_cdf(model, x, t)
-    mu2 = kernel.moment(2)
-    limits = {
-        "density_moment_0": fx,
-        "density_moment_1": 0.0,
-        "density_moment_2": fx * mu2,
-        "response_moment_0": fx * cdf_val,
-        "response_moment_1": 0.0,
+    # report key: (power j of u, response point or None, limit as h -> 0)
+    moments = {
+        "density_moment_0": (0, None, fx),
+        "density_moment_1": (1, None, 0.0),
+        "density_moment_2": (2, None, fx * kernel.moment(2)),
+        "response_moment_0": (0, t, fx * true_cdf(model, x, t)),
+        "response_moment_1": (1, t, 0.0),
     }
-
-    summaries = []
-    for h in hs:
-        vals = {
-            "density_moment_0": smoothed_moment(model, kernel, h, x, 0),
-            "density_moment_1": smoothed_moment(model, kernel, h, x, 1),
-            "density_moment_2": smoothed_moment(model, kernel, h, x, 2),
-            "response_moment_0": smoothed_response(model, kernel, h, x, t, 0),
-            "response_moment_1": smoothed_response(model, kernel, h, x, t, 1),
+    limits = {key: limit for key, (_, _, limit) in moments.items()}
+    summaries = [
+        {
+            "bandwidth": h,
+            "residuals": {
+                key: abs(_smoothed(model, kernel, h, x, j, at) - limit)
+                for key, (j, at, limit) in moments.items()
+            },
         }
-        summaries.append(
-            {
-                "bandwidth": h,
-                "residuals": {k: abs(vals[k] - limits[k]) for k in _BOCHNER_KEYS},
-            }
-        )
+        for h in hs
+    ]
 
     flags = {}
     first = summaries[0]["residuals"]
     last = summaries[-1]["residuals"]
-    for key in _BOCHNER_KEYS:
+    for key in moments:
         flags[f"{key}_improves"] = bool(last[key] <= first[key] + 1e-12)
     flags["odd_moments_negligible"] = bool(
         max(

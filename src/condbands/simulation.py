@@ -9,6 +9,9 @@ m1: Y | X = x follows a Beta(1, 1 + x^2) law on [0, 1], so
 m2: Y | X = x is uniform on (-|x|, |x|); at x = 0 the law degenerates to
     a point mass at 0.  The conditional mean is identically 0.
 
+Each model's cdf, inverse (for draws and quantiles), densities and cdf
+kink points are written here once; no other module branches on its kind.
+
 Draws are reproducible: the generator is seeded with the ``seed``
 argument, which may be anything numpy accepts as a seed.  Replicated
 experiments derive the stream for replication r by spawning child r of
@@ -17,6 +20,7 @@ the root seed, which never collides with the root stream itself.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,18 +30,22 @@ from .bands import DensityPair
 from .estimator import Sample
 
 __all__ = [
+    "MODEL_KINDS",
     "SimModel",
     "sim_model",
     "draw",
     "draw_conditional",
     "true_cdf",
     "true_cdf_grid",
+    "cdf_kinks",
     "true_quantile",
     "true_regression",
     "true_densities",
     "marginal_density",
     "oracle_density_provider",
 ]
+
+MODEL_KINDS = ("m1", "m2")
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -47,7 +55,7 @@ class SimModel:
     kind: str
 
     def __post_init__(self):
-        if self.kind not in ("m1", "m2"):
+        if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}; expected m1 or m2")
 
 
@@ -55,7 +63,8 @@ def sim_model(kind: str) -> SimModel:
     return SimModel(kind=kind.lower())
 
 
-def _y_from_uniform(kind: str, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _y_from_uniform(kind: str, x, u):
+    """The conditional quantile function at level u; x and u may be arrays."""
     if kind == "m1":
         return 1.0 - (1.0 - u) ** (1.0 / (1.0 + x * x))
     return np.abs(x) * (2.0 * u - 1.0)
@@ -83,16 +92,7 @@ def draw_conditional(model: SimModel, x: float, n: int, seed) -> np.ndarray:
 def true_cdf(model: SimModel, x: float, t):
     """Conditional distribution function F(t | x); t may be an array."""
     t_arr = np.asarray(t, dtype=float)
-    if model.kind == "m1":
-        b = 1.0 + x * x
-        inner = 1.0 - (1.0 - np.clip(t_arr, 0.0, 1.0)) ** b
-        out = np.where(t_arr < 0.0, 0.0, np.where(t_arr > 1.0, 1.0, inner))
-    else:
-        ax = abs(x)
-        if ax == 0.0:
-            out = np.where(t_arr >= 0.0, 1.0, 0.0)
-        else:
-            out = np.clip((t_arr + ax) / (2.0 * ax), 0.0, 1.0)
+    out = true_cdf_grid(model, [x], t_arr.ravel())[0].reshape(t_arr.shape)
     return float(out) if t_arr.ndim == 0 else out
 
 
@@ -112,13 +112,22 @@ def true_cdf_grid(model: SimModel, xs, ts) -> np.ndarray:
     return np.where(ax == 0.0, degenerate, out)
 
 
+def cdf_kinks(model: SimModel, t: float) -> tuple[float, ...]:
+    """Design points z at which z -> F(t | z) may fail to be smooth.
+
+    m1's law is smooth in z.  m2's cdf, (t + |z|) / (2 |z|) clipped to
+    [0, 1], bends where |z| = |t|, and z = 0 carries the atom.
+    """
+    if model.kind == "m1":
+        return ()
+    return (t, -t, 0.0)
+
+
 def true_quantile(model: SimModel, x: float, alpha: float) -> float:
     """Conditional quantile of level alpha; the generalized inverse at x."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if model.kind == "m1":
-        return 1.0 - (1.0 - alpha) ** (1.0 / (1.0 + x * x))
-    return abs(x) * (2.0 * alpha - 1.0)
+    return _y_from_uniform(model.kind, x, alpha)
 
 
 def true_regression(model: SimModel, x: float) -> float:
@@ -155,8 +164,4 @@ def true_densities(model: SimModel, x: float, y: float) -> DensityPair:
 
 def oracle_density_provider(model: SimModel):
     """Density callback for quantile bands backed by the true densities."""
-
-    def provider(x: float, y: float) -> DensityPair:
-        return true_densities(model, x, y)
-
-    return provider
+    return functools.partial(true_densities, model)

@@ -250,6 +250,19 @@ def test_experiment_em_constant_deterministic(tmp_path):
     assert doc["kind"] == "em-constant"
 
 
+def test_experiment_em_constant_grid_follows_the_interval(tmp_path):
+    args = ["experiment", "em-constant", "--model", "m1", "--n-list", "150",
+            "--reps", "2", "--interval=-0.5:0.5"]
+    out = tmp_path / "em.json"
+    assert main(args + ["--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["params"]["interval"] == [-0.5, 0.5]
+    assert doc["params"]["x_grid"] == [-0.5, 0.5, 41]
+    # an explicit grid still wins
+    assert main(args + ["--x-grid=-0.2:0.2:5", "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["params"]["x_grid"] == [-0.2, 0.2, 5]
+
+
 def test_experiment_multiple_n_writes_array(tmp_path):
     out = tmp_path / "cov.json"
     assert main(["experiment", "coverage", "--model", "m1",
@@ -366,7 +379,21 @@ def test_options_a_kind_does_not_read_are_usage_errors(tmp_path, capsys, kind, o
         main(["experiment", kind, "--model", "m1", f"{opt}={VALUES[opt]}",
               "--output", str(out)])
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {opt}=" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the kind's own usage line, which lists the options it does read
+    assert err.startswith(f"usage: condbands experiment {kind} [-h] --model")
+    assert f"unrecognized arguments: {opt}=" in err
+    assert not out.exists()
+
+
+def test_unrecognized_options_show_the_subcommand_usage(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["bands", "--model", "m1", "--foo", "1", "--output", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: condbands bands [-h] [--input INPUT]")
+    assert err.rstrip().endswith("unrecognized arguments: --foo 1")
     assert not out.exists()
 
 

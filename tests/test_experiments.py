@@ -5,11 +5,13 @@ import threading
 import numpy as np
 import pytest
 from conftest import counting_kernel
+from scipy.integrate import quad
 
 from condbands import (
     EstimatorConfig,
     InvalidBandwidth,
     bochner_check,
+    cdf_band,
     centering_curve,
     centering_oracle,
     coverage_experiment,
@@ -17,8 +19,12 @@ from condbands import (
     draw,
     em_constant_experiment,
     get_kernel,
+    marginal_density,
     normalized_sup_statistic,
+    oracle_density_provider,
+    quantile_band,
     reference_bandwidth,
+    regression_band,
     sim_model,
     smoothed_moment,
     smoothed_response,
@@ -93,6 +99,23 @@ def test_centering_curve_m2_within_loose_tolerance():
     fast = centering_curve(M2, 0.7, ts, EPA, 0.3, 1)
     slow = np.array([centering_oracle(M2, 0.7, t, c, 1) for t in ts])
     assert np.abs(fast - slow).max() <= 1e-3
+
+
+@pytest.mark.parametrize("j", [0, 1])
+def test_m2_smoothed_response_matches_quadrature_split_at_the_kinks(j):
+    # |x - h u| meets t at u = -0.2 and u = 0.6, and 0 at u = 0.2: all
+    # three kinks of the m2 law lie inside the kernel support (-1, 1)
+    x, h, t = 0.1, 0.5, 0.2
+    kinks = [(x - t) / h, x / h, (x + t) / h]
+    assert all(-1.0 < u < 1.0 for u in kinks)
+
+    def integrand(u):
+        v = abs(x - h * u)
+        cdf = 1.0 if v == 0.0 else min(max((t + v) / (2.0 * v), 0.0), 1.0)
+        return u ** j * EPA.eval(u) * marginal_density(M2, x - h * u) * cdf
+
+    expected, _ = quad(integrand, -1.0, 1.0, points=kinks, epsabs=1e-13, epsrel=1e-13, limit=200)
+    assert smoothed_response(M2, EPA, h, x, t, j) == pytest.approx(expected, rel=0, abs=1e-12)
 
 
 def test_centering_matches_monte_carlo():
@@ -325,6 +348,22 @@ def test_em_constant_references():
     assert {"order0", "order1"} <= set(report.summaries[0])
     with pytest.raises(ValueError):
         em_constant_experiment(M1, 200, 2, c0, interval=(1.0, -1.0))
+
+
+EMPTY_GRID_CALLS = {
+    "cdf_band": lambda s, c: cdf_band(s, [], "jumps", c),
+    "regression_band": lambda s, c: regression_band(s, [], c, (0.0, 1.0)),
+    "quantile_band": lambda s, c: quantile_band(s, [], 0.5, c, oracle_density_provider(M1)),
+    "sup_experiment": lambda s, c: sup_experiment(M1, 100, 1, c, x_grid=[]),
+    "coverage_experiment": lambda s, c: coverage_experiment(M1, 100, 1, 0.5, c, x_grid=[]),
+    "em_constant_experiment": lambda s, c: em_constant_experiment(M1, 100, 1, c, x_grid=[]),
+}
+
+
+@pytest.mark.parametrize("entry", EMPTY_GRID_CALLS)
+def test_empty_grid_is_a_value_error_at_every_entry_point(entry):
+    with pytest.raises(ValueError, match="x_grid must not be empty"):
+        EMPTY_GRID_CALLS[entry](draw(M1, 100, 1), cfg())
 
 
 def test_report_json_is_sorted_and_plain():

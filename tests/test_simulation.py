@@ -1,9 +1,12 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import condbands
 from condbands import (
     draw,
     draw_conditional,
@@ -91,6 +94,63 @@ def test_cdf_grid_matches_pointwise():
         assert grid.shape == (4, 9)
         for i, x in enumerate(xs):
             assert np.allclose(grid[i], true_cdf(model, float(x), ts), atol=1e-14)
+
+
+@pytest.mark.parametrize("kind", ["m1", "m2"])
+@pytest.mark.parametrize("x", [0.0, -0.0, 0.37, -1.0, 2.5])
+def test_true_cdf_is_the_one_location_row_of_the_grid(kind, x):
+    # t below, inside and above the support of either law
+    ts = np.array([-3.0, -1.0, -0.2, -1e-12, 0.0, 0.3, 0.5, 0.999, 1.0, 1.7, 3.0])
+    model = sim_model(kind)
+    row = true_cdf_grid(model, [x], ts)[0]
+    assert true_cdf(model, x, ts).tobytes() == row.tobytes()
+    for t, expected in zip(ts, row):
+        value = true_cdf(model, x, float(t))
+        assert type(value) is float
+        assert np.float64(value).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["m1", "m2"])
+def test_conditional_draws_are_the_true_quantiles_of_their_uniforms(kind):
+    model = sim_model(kind)
+    for x in (0.0, 0.8, -1.7):
+        ys = draw_conditional(model, x, 4000, 5)
+        us = np.random.default_rng(5).random(4000)
+        qs = np.array([true_quantile(model, x, u) for u in us])
+        assert np.abs(ys - qs).max() <= 1e-15
+
+
+def _kind_comparisons(path):
+    """Lines where a ``.kind`` attribute is compared with a string literal."""
+    def is_str(node):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return any(is_str(e) for e in node.elts)
+        return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+    def is_kind(node):
+        return isinstance(node, ast.Attribute) and node.attr == "kind"
+
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(map(is_kind, operands)) and any(map(is_str, operands)):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Match) and is_kind(node.subject):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_simulation_branches_on_the_model_kind():
+    # each model's law is written once, in simulation.py
+    package = Path(condbands.__file__).parent
+    assert _kind_comparisons(package / "simulation.py")  # the scan finds them
+    offenders = {
+        path.name: _kind_comparisons(path)
+        for path in sorted(package.glob("*.py"))
+        if path.name != "simulation.py"
+    }
+    assert {name: lines for name, lines in offenders.items() if lines} == {}
 
 
 def test_cdf_monotone_in_t():
