@@ -31,6 +31,7 @@ from .estimator import (
     EstimatorConfig,
     LocalWeights,
     Sample,
+    kernel_window,
     local_moments,
     local_weights,
     quantile_estimate,
@@ -294,7 +295,7 @@ def regression_band(
     a, b = float(y_range[0]), float(y_range[1])
     if not a < b:
         raise ValueError(f"y_range must satisfy a < b, got ({a}, {b})")
-    if sample.ys.min() < a or sample.ys.max() > b:
+    if sample.y_range[0] < a or sample.y_range[1] > b:
         raise YRangeViolation(
             f"responses fall outside the declared range [{a}, {b}]"
         )
@@ -365,8 +366,8 @@ def density_plugin(sample: Sample, x: float, y: float, cfg: EstimatorConfig) -> 
     is where positivity gets enforced.
     """
     h = cfg.bandwidth
-    kx = cfg.kernel.eval((x - sample.xs) / h)
-    ky = cfg.kernel.eval((y - sample.ys) / h)
-    fx = float(kx.sum()) / (sample.n * h)
-    fxy = float((kx * ky).sum()) / (sample.n * h * h)
+    win = kernel_window(sample, x, cfg)
+    ky = cfg.kernel.eval((y - sample.ys[win.index]) / h)
+    fx = float(win.k.sum()) / win.nh
+    fxy = float((win.k * ky).sum()) / (win.nh * h)
     return DensityPair(fx=fx, fxy=fxy, source="plugin")

@@ -12,12 +12,23 @@ aligned with the sample, with sum(w) = 1 and, for p >= 1, sum(w u) = 0.
 The estimated conditional distribution at t is then sum_i w_i 1{Y_i <= t}.
 Order 0 weights are nonnegative; orders 1 and 2 may produce negative
 weights, hence raw distribution curves need not be monotone.
+
+Only the kernel window {i : K(u_i) > 0} contributes to these sums, so every
+fit works on the window alone (Fan & Marron, 1994).  A :class:`Sample`
+caches its X order and sorted xs; for a kernel with compact support the
+window of x is cut from the sorted xs with ``searchsorted`` and the kernel
+is evaluated on that range only (:func:`kernel_window`).  A kernel without
+support (Gaussian) takes the whole sample as its candidate range.
+:class:`LocalWeights` keeps the window's sample indices and weights and
+builds the n-long weight vector and window mask on demand.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,10 +39,12 @@ __all__ = [
     "Sample",
     "EstimatorConfig",
     "LocalWeights",
+    "KernelWindow",
     "CdfCurve",
     "local_moments",
     "local_responses",
     "local_weights",
+    "kernel_window",
     "cdf_estimate",
     "cdf_curve",
     "regression_estimate",
@@ -68,6 +81,41 @@ class Sample:
     def n(self) -> int:
         return self.xs.size
 
+    # Computed once, on first use, and kept in the instance dict: not fields,
+    # so they stay out of repr and ==.  Two threads may both compute one; the
+    # results are identical, so either may be kept.
+
+    @cached_property
+    def x_order(self) -> np.ndarray:
+        """Stable argsort of ``xs`` (read-only)."""
+        return _read_only(np.argsort(self.xs, kind="stable"))
+
+    @cached_property
+    def xs_sorted(self) -> np.ndarray:
+        """``xs`` in increasing order (read-only)."""
+        return _read_only(self.xs[self.x_order])
+
+    @cached_property
+    def y_rank(self) -> np.ndarray:
+        """Position of each response in a stable sort of ``ys`` (read-only).
+
+        Ranks are distinct, so ordering any subset by rank orders it by
+        response and ties by sample index.
+        """
+        rank = np.empty(self.n, dtype=np.intp)
+        rank[np.argsort(self.ys, kind="stable")] = np.arange(self.n)
+        return _read_only(rank)
+
+    @cached_property
+    def y_range(self) -> tuple[float, float]:
+        """Smallest and largest response."""
+        return float(self.ys.min()), float(self.ys.max())
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
 
 @dataclass(frozen=True)
 class EstimatorConfig:
@@ -90,22 +138,64 @@ class EstimatorConfig:
             raise ValueError(f"order must be 0, 1 or 2, got {self.order!r}")
 
 
+class KernelWindow(NamedTuple):
+    """The observations with K(u_i) > 0 for a fit at x.
+
+    ``index`` holds their sample positions, ``u`` and ``k`` their scaled
+    distances and kernel values, and ``nh`` is the normalizer n * h.
+    """
+
+    index: np.ndarray
+    u: np.ndarray
+    k: np.ndarray
+    nh: float
+
+
 @dataclass(frozen=True)
 class LocalWeights:
-    """Weight vector of a local fit at ``x``, aligned with the sample.
+    """Weights of the local fit at ``x`` on its kernel window.
 
-    Observations with K(u_i) = 0 receive weight exactly 0.  The weights
-    sum to one, and for order >= 1 they are orthogonal to u.
-    ``in_window`` marks the observations with K(u_i) > 0, and ``density``
-    is the local moment of order zero, d0(x) = sum_i K(u_i) / (n h), which
-    the band half-width uses.
+    ``window.index`` lists the observations with K(u_i) > 0 (in X order for
+    a kernel with compact support, in sample order otherwise) and
+    ``window_weights`` their weights; every other observation has weight
+    exactly 0.  The weights sum to one, and for order >= 1 they are
+    orthogonal to u.  ``weights`` and ``in_window`` build the n-long weight
+    vector and window mask on demand.  ``density`` is the local moment of
+    order zero, d0(x) = sum_i K(u_i) / (n h), which the band half-width uses.
     """
 
     x: float
-    weights: np.ndarray
     order: int
-    in_window: np.ndarray
+    window: KernelWindow = field(repr=False, compare=False)
+    window_weights: np.ndarray = field(repr=False, compare=False)
     density: float
+    n: int
+    # sum_i u_i^j K(u_i) for j = 0..2*order, kept so that another order can
+    # be fitted on the same window without recomputing them
+    _sums: np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The n-long weight vector, aligned with the sample."""
+        w = np.zeros(self.n)
+        w[self.window.index] = self.window_weights
+        return w
+
+    @property
+    def in_window(self) -> np.ndarray:
+        """The n-long mask of the observations with K(u_i) > 0."""
+        mask = np.zeros(self.n, dtype=bool)
+        mask[self.window.index] = True
+        return mask
+
+    def at_order(self, order: int) -> LocalWeights:
+        """The fit of ``order`` on the same window, reusing its moments."""
+        if order not in (0, 1, 2):
+            raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
+        win, sums = self.window, self._sums
+        if sums.size <= 2 * order:
+            sums = _power_sums(win.u, win.k, 2 * order)
+        return _fit(self.x, win, sums, order, self.n)
 
     def curve(self, sample: Sample, monotonize: bool = True) -> CdfCurve:
         """Estimated conditional distribution curve of this fit.
@@ -114,16 +204,17 @@ class LocalWeights:
         clipped to [0, 1]; the raw curve keeps whatever the weights produce,
         which is the form the band theory applies to.
         """
-        ys_in = sample.ys[self.in_window]
-        w_in = self.weights[self.in_window]
-        order = np.argsort(ys_in, kind="stable")
-        ys_sorted = ys_in[order]
-        cum = np.cumsum(w_in[order])
-        jump_ts = np.unique(
-            np.concatenate([ys_sorted, [sample.ys.min(), sample.ys.max()]])
-        )
-        idx = np.searchsorted(ys_sorted, jump_ts, side="right") - 1
-        values = np.where(idx >= 0, cum[np.maximum(idx, 0)], 0.0)
+        index = self.window.index
+        # by response, ties by sample index: a stable sort of ys[index] when
+        # index is increasing, whatever order index is in
+        order = np.argsort(sample.y_rank[index])
+        ymin, ymax = sample.y_range
+        ys_ext = np.concatenate(([ymin], sample.ys[index[order]], [ymax]))
+        # weight up to each entry of ys_ext: none at ymin, all of it at ymax
+        cum = np.cumsum(np.concatenate(([0.0], self.window_weights[order], [0.0])))
+        # the curve jumps at each distinct value, to the weight up to its last entry
+        last = np.flatnonzero(np.append(ys_ext[1:] != ys_ext[:-1], True))
+        jump_ts, values = ys_ext[last], cum[last]
         if monotonize:
             values = np.clip(np.maximum.accumulate(values), 0.0, 1.0)
         return CdfCurve(
@@ -136,7 +227,7 @@ class LocalWeights:
 
     def regression(self, sample: Sample) -> float:
         """Local polynomial estimate of E[Y | X = x], i.e. sum_i w_i Y_i."""
-        return float(self.weights @ sample.ys)
+        return float(self.window_weights @ sample.ys[self.window.index])
 
 
 @dataclass(frozen=True)
@@ -164,20 +255,44 @@ class CdfCurve:
         return float(out) if t_arr.ndim == 0 else out
 
 
-def _window(sample: Sample, x: float, cfg: EstimatorConfig):
-    """Scaled distances, kernel values and the n*h normalizer at ``x``."""
+_EPS = np.finfo(float).eps
+
+
+def kernel_window(sample: Sample, x: float, cfg: EstimatorConfig) -> KernelWindow:
+    """The kernel window of a fit at ``x``: the observations with K(u_i) > 0.
+
+    For a kernel with support [a, b] only the X in [x - b h, x - a h] are
+    evaluated, cut from the sorted xs with ``searchsorted``.  The range is
+    widened by 16 ulps of |x| + h max(|a|, |b|), more than the rounding of
+    u_i and of the bounds can move a point, so it holds every observation
+    with K(u_i) > 0.  Without a support the whole sample is evaluated.
+    """
     if not math.isfinite(x):
         raise ValueError(f"location x must be finite, got {x!r}")
-    u = (x - sample.xs) / cfg.bandwidth
+    h = cfg.bandwidth
+    support = cfg.kernel.support
+    if support is None:
+        index, xs = np.arange(sample.n), sample.xs
+    else:
+        a, b = support
+        pad = 16.0 * _EPS * (abs(x) + h * max(-a, b))
+        lo, hi = sample.xs_sorted.searchsorted((x - b * h - pad, x - a * h + pad))
+        index, xs = sample.x_order[lo:hi], sample.xs_sorted[lo:hi]
+    u = (x - xs) / h
     k = cfg.kernel.eval(u)
-    return u, k, sample.n * cfg.bandwidth
+    keep = k > 0.0
+    if not keep.all():
+        index, u, k = index[keep], u[keep], k[keep]
+    return KernelWindow(index, u, k, sample.n * h)
 
 
-def _power_sums(u, k, nh, jmax):
+def _power_sums(u, k, jmax):
+    """sum_i u_i^j K(u_i) for j = 0..jmax."""
     out = np.empty(jmax + 1)
-    uj = np.ones_like(u)
-    for j in range(jmax + 1):
-        out[j] = float((uj * k).sum()) / nh
+    out[0] = k.sum()
+    uj = u
+    for j in range(1, jmax + 1):
+        out[j] = (uj * k).sum()
         if j < jmax:
             uj = uj * u
     return out
@@ -190,8 +305,8 @@ def local_moments(sample: Sample, x: float, cfg: EstimatorConfig, jmax: int = 2)
     """
     if jmax not in (0, 1, 2, 3, 4):
         raise ValueError(f"jmax must be in 0..4, got {jmax!r}")
-    u, k, nh = _window(sample, x, cfg)
-    return _power_sums(u, k, nh, jmax)
+    win = kernel_window(sample, x, cfg)
+    return _power_sums(win.u, win.k, jmax) / win.nh
 
 
 def local_responses(
@@ -200,29 +315,27 @@ def local_responses(
     """Like :func:`local_moments` with each term multiplied by 1{Y_i <= t}."""
     if jmax not in (0, 1, 2):
         raise ValueError(f"jmax must be in 0..2, got {jmax!r}")
-    u, k, nh = _window(sample, x, cfg)
-    ind = sample.ys <= t
-    return _power_sums(u[ind], k[ind], nh, jmax)
+    win = kernel_window(sample, x, cfg)
+    ind = sample.ys[win.index] <= t
+    return _power_sums(win.u[ind], win.k[ind], jmax) / win.nh
 
 
-def _weight_vector(u, k, nh, cfg):
-    """Raw weight vector for the configured order; raises on degenerate fits."""
-    if cfg.order == 0:
-        denom = float(k.sum()) / nh
-        if abs(denom) < _DENOM_TOL:
+def _weight_vector(u, k, nh, order, sums):
+    """Raw weight vector of ``order`` from the power sums; raises on degenerate fits."""
+    m = [float(s) / nh for s in sums]
+    if order == 0:
+        if abs(m[0]) < _DENOM_TOL:
             raise InsufficientLocalData(
-                f"no kernel mass near x (order 0 denominator {denom:.3e})"
+                f"no kernel mass near x (order 0 denominator {m[0]:.3e})"
             )
-        return k / float(k.sum())
-    if cfg.order == 1:
-        m = _power_sums(u, k, nh, 2)
+        return k / float(sums[0])
+    if order == 1:
         denom = m[0] * m[2] - m[1] ** 2
         if abs(denom) < _DENOM_TOL:
             raise InsufficientLocalData(
                 f"degenerate local linear fit at x (denominator {denom:.3e})"
             )
         return (m[2] - u * m[1]) * k / (nh * denom)
-    m = _power_sums(u, k, nh, 4)
     a1 = m[2] * m[4] - m[3] ** 2
     a2 = m[2] * m[3] - m[1] * m[4]
     a3 = m[1] * m[3] - m[2] ** 2
@@ -234,23 +347,28 @@ def _weight_vector(u, k, nh, cfg):
     return (a1 + a2 * u + a3 * u * u) * k / (nh * denom)
 
 
-def local_weights(sample: Sample, x: float, cfg: EstimatorConfig) -> LocalWeights:
-    """The local polynomial fit at ``x``: weights, kernel window and d0(x)."""
-    u, k, nh = _window(sample, x, cfg)
-    w = _weight_vector(u, k, nh, cfg)
+def _fit(x: float, win: KernelWindow, sums: np.ndarray, order: int, n: int) -> LocalWeights:
     return LocalWeights(
-        x=float(x),
-        weights=w,
-        order=cfg.order,
-        in_window=k > 0.0,
-        density=float(k.sum()) / nh,
+        x=x,
+        order=order,
+        window=win,
+        window_weights=_weight_vector(win.u, win.k, win.nh, order, sums),
+        density=float(sums[0]) / win.nh,
+        n=n,
+        _sums=sums,
     )
+
+
+def local_weights(sample: Sample, x: float, cfg: EstimatorConfig) -> LocalWeights:
+    """The local polynomial fit at ``x``: window, weights and d0(x)."""
+    win = kernel_window(sample, x, cfg)
+    return _fit(float(x), win, _power_sums(win.u, win.k, 2 * cfg.order), cfg.order, sample.n)
 
 
 def cdf_estimate(sample: Sample, x: float, t: float, cfg: EstimatorConfig) -> float:
     """Point estimate of P(Y <= t | X = x) at the configured order."""
-    w = local_weights(sample, x, cfg)
-    return float(w.weights[sample.ys <= t].sum())
+    fit = local_weights(sample, x, cfg)
+    return float(fit.window_weights[sample.ys[fit.window.index] <= t].sum())
 
 
 def cdf_curve(

@@ -229,20 +229,20 @@ def _location_deviations(sample, model, cfg, x_grid, references):
 
     def deviations(x, fit, half):
         curve = fit.curve(sample, monotonize=False)
-        devs = []
-        for reference in references:
-            if reference == "true":
-                refs = true_cdf(model, x, curve.jump_ts)
-            else:
-                refs = centering_curve(
-                    model, x, curve.jump_ts, cfg.kernel, cfg.bandwidth, cfg.order
-                )
-            devs.append(step_sup_deviation(curve.values, refs))
-        return devs, half
+        return [_deviation(model, cfg, x, curve, r) for r in references], half
 
     kept, skipped = fit_grid(sample, x_grid, cfg, deviations)
     devs, halves = zip(*kept)
     return np.array(devs).T, np.array(halves), len(skipped)
+
+
+def _deviation(model, cfg, x, curve, reference):
+    """Sup over t of |curve - reference| at location ``x``."""
+    if reference == "true":
+        refs = true_cdf(model, x, curve.jump_ts)
+    else:
+        refs = centering_curve(model, x, curve.jump_ts, cfg.kernel, cfg.bandwidth, curve.order)
+    return step_sup_deviation(curve.values, refs)
 
 
 def sup_deviation_statistic(
@@ -276,16 +276,16 @@ def normalized_sup_statistic(
     Its limit is the kernel l2 norm over sqrt(2 inf f_X) on the covered
     interval.
     """
-    return _normalized_sup(sample, model, cfg, _as_grid(x_grid), order)[0]
-
-
-def _normalized_sup(sample, model, cfg, grid, order):
-    """:func:`normalized_sup_statistic` and the number of skipped locations."""
     use_cfg = cfg if order is None else replace(cfg, order=order)
-    (devs,), _, skipped = _location_deviations(sample, model, use_cfg, grid, ("centering",))
-    h = cfg.bandwidth
-    scale = math.sqrt(sample.n * h / math.log(1.0 / h))
-    return scale * float(devs.max()), skipped
+    (devs,), _, _ = _location_deviations(
+        sample, model, use_cfg, _as_grid(x_grid), ("centering",)
+    )
+    return _sup_scale(sample.n, cfg.bandwidth) * float(devs.max())
+
+
+def _sup_scale(n, h):
+    """sqrt(n h / log(1/h)), the scale of the normalized sup statistic."""
+    return math.sqrt(n * h / math.log(1.0 / h))
 
 
 # ---------------------------------------------------------------------------
@@ -560,9 +560,27 @@ def em_constant_experiment(
     theta = math.sqrt(cfg.kernel.l2_norm_sq) / math.sqrt(2.0 * inf_fx)
 
     def stat(sample):
-        stat0, skipped0 = _normalized_sup(sample, model, cfg, grid, 0)
-        stat1, skipped1 = _normalized_sup(sample, model, cfg, grid, 1)
-        return stat0, stat1, skipped0 + skipped1
+        def deviations(x, fit, half):
+            # the order-1 fit reuses the order-0 window; it is skipped alone
+            # where it is degenerate, while a location degenerate at order 0
+            # has d0(x) too small for a band at either order
+            devs = [_deviation(model, cfg, x, fit.curve(sample, monotonize=False), "centering")]
+            try:
+                curve1 = fit.at_order(1).curve(sample, monotonize=False)
+            except InsufficientLocalData:
+                return devs
+            return devs + [_deviation(model, cfg, x, curve1, "centering")]
+
+        kept, skipped = fit_grid(sample, grid, replace(cfg, order=0), deviations)
+        devs1 = [d[1] for d in kept if len(d) == 2]
+        if not devs1:
+            raise InsufficientLocalData("every grid location had a degenerate local fit")
+        scale = _sup_scale(sample.n, cfg.bandwidth)
+        return (
+            scale * max(d[0] for d in kept),
+            scale * max(devs1),
+            2 * len(skipped) + len(kept) - len(devs1),
+        )
 
     stats0, stats1, skipped = _replicate(model, n, reps, seed, workers, stat)
     med0 = float(np.median(stats0))

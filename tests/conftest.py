@@ -2,7 +2,7 @@
 
 The acceptance tests register one line per criterion here; the terminal
 summary hook replays them after the run so they survive output capture.
-``counting_kernel`` counts the kernel evaluations a call makes on a sample.
+``counting_kernel`` records the kernel evaluations a call makes.
 """
 
 import threading
@@ -24,18 +24,18 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
-def counting_kernel(base, n: int):
-    """``base`` with its ``fn`` wrapped to count evaluations on length-n arrays.
+def counting_kernel(base):
+    """``base`` with its ``fn`` wrapped to record every evaluation.
 
-    Returns the kernel and a list that gains one entry per such evaluation;
-    each one is a pass of the kernel over a whole sample of size n, and the
-    entry is the ``threading.get_ident()`` of the thread that made it.
+    Returns the kernel and a list that gains one ``(thread, points)`` entry
+    per evaluation: the ``threading.get_ident()`` of the thread that made it
+    and the number of points it evaluated.  A local fit evaluates the kernel
+    once, on its candidate window, so the entries count kernel passes.
     """
     calls = []
 
     def fn(u):
-        if np.ndim(u) == 1 and np.size(u) == n:
-            calls.append(threading.get_ident())
+        calls.append((threading.get_ident(), np.size(u)))
         return base.fn(u)
 
     return replace(base, fn=fn), calls

@@ -128,21 +128,44 @@ def test_cdf_band_skips_empty_windows():
         cdf_band(sample, [50.0, 60.0], np.array([0.5]), c)
 
 
-def test_band_functions_fit_each_location_once():
-    # the cdf and regression bands take the fit and L(x) from one kernel
-    # pass per location; the quantile band adds density_plugin's two
+def _band_kernel_passes(base):
+    """Sizes of the kernel evaluations of each band over a 7-point grid."""
     sample = draw(M1, 300, 12)
-    kernel, calls = counting_kernel(EPA, sample.n)
+    kernel, calls = counting_kernel(base)
     c = cfg(kernel=kernel, h=0.35)
     grid = np.linspace(-1.0, 1.0, 7)
+    passes = []
     cdf_band(sample, grid, "jumps", c)
-    assert len(calls) == grid.size
+    passes.append([size for _, size in calls])
     calls.clear()
     regression_band(sample, grid, c, (0.0, 1.0))
-    assert len(calls) == grid.size
+    passes.append([size for _, size in calls])
     calls.clear()
     quantile_band(sample, grid, 0.5, c, lambda x, y: density_plugin(sample, x, y, c))
-    assert len(calls) == 3 * grid.size
+    passes.append([size for _, size in calls])
+    return sample.n, grid.size, passes
+
+
+def test_band_functions_fit_each_location_once():
+    # the cdf and regression bands take the fit and L(x) from one kernel
+    # pass per location; the quantile band adds density_plugin's two.  Each
+    # pass covers the kernel window only, never the whole sample.
+    n, size, (cdf, reg, quant) = _band_kernel_passes(EPA)
+    assert (len(cdf), len(reg), len(quant)) == (size, size, 3 * size)
+    assert max(cdf + reg + quant) < n
+
+
+@pytest.mark.parametrize("name", ["uniform", "gaussian"])
+def test_band_kernel_passes_cover_the_support(name):
+    # a compact kernel evaluates its window; one without support (Gaussian)
+    # evaluates the whole sample on every pass
+    base = get_kernel(name)
+    n, size, (cdf, reg, quant) = _band_kernel_passes(base)
+    assert (len(cdf), len(reg), len(quant)) == (size, size, 3 * size)
+    if base.support is None:
+        assert set(cdf + reg + quant) == {n}
+    else:
+        assert max(cdf + reg + quant) < n
 
 
 def test_cdf_band_validation():

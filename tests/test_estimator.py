@@ -1,3 +1,8 @@
+import dataclasses
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +13,7 @@ from condbands import (
     InvalidBandwidth,
     NoCrossing,
     Sample,
+    cdf_band,
     cdf_curve,
     cdf_estimate,
     get_kernel,
@@ -210,6 +216,147 @@ def test_weight_identities_property(seed, order, h, x):
     assert abs(w.weights.sum() - 1.0) <= 1e-10
     if order >= 1:
         assert abs((w.weights * u).sum()) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# Kernel windows
+# ---------------------------------------------------------------------------
+
+def _direct_fit(s, x, c):
+    """Weights and d0(x) over the whole sample, without any window."""
+    u = (x - s.xs) / c.bandwidth
+    k = c.kernel.eval(u)
+    nh = s.n * c.bandwidth
+    m = [float((u**j * k).sum()) / nh for j in range(5)]
+    if c.order == 0:
+        return k / (m[0] * nh), m[0]
+    if c.order == 1:
+        return (m[2] - u * m[1]) * k / (nh * (m[0] * m[2] - m[1] ** 2)), m[0]
+    a1 = m[2] * m[4] - m[3] ** 2
+    a2 = m[2] * m[3] - m[1] * m[4]
+    a3 = m[1] * m[3] - m[2] ** 2
+    denom = a1 * m[0] + a2 * m[1] + a3 * m[2]
+    return (a1 + a2 * u + a3 * u * u) * k / (nh * denom), m[0]
+
+
+def _edge_design(x, h, kernel, offset, rng):
+    """X clustered within +-40 ulps of both ends of the support around x,
+    duplicated, plus interior points; responses with ties."""
+    a, b = kernel.support
+    edges = [x - b * h, x - a * h]
+    near = [np.nextafter(e, np.inf if k > 0 else -np.inf) for e in edges for k in (1, -1)]
+    xs = [e + j * np.spacing(e) for e in edges for j in range(-40, 41)] + near
+    xs += list(x + h * b * np.linspace(-0.9, 0.9, 13))
+    xs += list(offset + rng.uniform(-3.0, 3.0, 40))
+    xs = np.array(xs + xs[::7])
+    ys = rng.integers(0, 25, xs.size) / 24.0
+    return Sample(xs=xs, ys=ys)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e6, -1e6, 1e12])
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("kernel", [EPA, UNI])
+def test_window_is_exactly_the_kernel_support(kernel, order, offset):
+    rng = np.random.default_rng([order, int(abs(offset)) % 9973])
+    h = 0.3
+    c = cfg(kernel=kernel, h=h, order=order)
+    for x in (offset + 0.1, offset - 0.7 * h):
+        s = _edge_design(x, h, kernel, offset, rng)
+        fit = local_weights(s, x, c)
+        support = kernel.eval((x - s.xs) / h) > 0.0
+        assert np.array_equal(np.sort(fit.window.index), np.flatnonzero(support))
+        assert np.array_equal(fit.in_window, support)
+        w, d0 = _direct_fit(s, x, c)
+        assert np.max(np.abs(fit.weights - w)) <= 1e-12
+        assert abs(fit.density - d0) <= 1e-12 * max(1.0, d0)
+        assert fit.density == local_moments(s, x, c, jmax=0)[0]
+        curve = fit.curve(s, monotonize=False)
+        jumps = np.unique(np.concatenate([s.ys[support], [s.ys.min(), s.ys.max()]]))
+        assert np.array_equal(curve.jump_ts, jumps)
+        direct = np.array([w[s.ys <= t].sum() for t in jumps])
+        assert np.max(np.abs(curve.values - direct)) <= 1e-12
+        assert abs(fit.regression(s) - float(w @ s.ys)) <= 1e-12
+
+
+@pytest.mark.parametrize("kernel", [EPA, UNI])
+def test_empty_window_is_insufficient_local_data(kernel):
+    # the nearest X sits one ulp outside the support on either side
+    h, x = 0.3, 1e6 + 0.1
+    a, b = kernel.support
+    lo = np.nextafter(x - b * h, -np.inf)
+    while kernel.eval((x - lo) / h) > 0.0:
+        lo = np.nextafter(lo, -np.inf)
+    hi = x - a * h
+    while kernel.eval((x - hi) / h) > 0.0:
+        hi = np.nextafter(hi, np.inf)
+    far = list(x + 10.0 + np.linspace(-0.1, 0.1, 7))
+    s = Sample(xs=[lo - 1.0, lo, hi, hi + 1.0] + far, ys=np.linspace(0.1, 0.9, 11))
+    for order in (0, 1, 2):
+        c = cfg(kernel=kernel, h=h, order=order)
+        with pytest.raises(InsufficientLocalData):
+            local_weights(s, x, c)
+        assert local_moments(s, x, c, jmax=2).tolist() == [0.0, 0.0, 0.0]
+        table = cdf_band(s, [x, x + 10.0], np.array([0.25]), c)
+        assert table.metadata["skipped_locations"] == [x]
+
+
+@pytest.mark.parametrize("kernel", [EPA, UNI, GAU])
+def test_fit_at_another_order_matches_a_direct_fit(kernel):
+    rng = np.random.default_rng(3)
+    s = Sample(xs=rng.normal(size=300), ys=rng.random(300))
+    for x in (-0.8, 0.0, 0.4):
+        base = local_weights(s, x, cfg(kernel=kernel, h=0.4, order=0))
+        for order in (0, 1, 2):
+            direct = local_weights(s, x, cfg(kernel=kernel, h=0.4, order=order))
+            other = base.at_order(order)
+            assert other.order == order
+            assert np.array_equal(other.window.index, direct.window.index)
+            assert np.array_equal(other.window_weights, direct.window_weights)
+            assert other.density == direct.density
+    with pytest.raises(ValueError):
+        base.at_order(3)
+
+
+def test_sample_caches_are_read_only_and_outside_equality():
+    xs, ys = [0.3, -0.1, 0.3, 0.0], [0.5, 0.2, 0.2, 0.9]
+    s = Sample(xs=xs, ys=ys)
+    assert s.x_order.tolist() == [1, 3, 0, 2]
+    assert s.xs_sorted.tolist() == [-0.1, 0.0, 0.3, 0.3]
+    assert s.y_rank.tolist() == [2, 0, 1, 3]
+    assert s.y_range == (0.2, 0.9)
+    for arr in (s.x_order, s.xs_sorted, s.y_rank):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    assert [f.name for f in dataclasses.fields(s)] == ["xs", "ys"]
+    assert "x_order" not in repr(s)
+
+
+def test_sample_caches_computed_from_many_threads_agree():
+    # threads that race to fill a fresh sample's caches all see the same
+    # arrays, and fit exactly as a serial caller does
+    rng = np.random.default_rng(8)
+    xs, ys = rng.normal(size=2000), rng.random(2000)
+    c = cfg(h=0.3)
+    grid = np.linspace(-1.0, 1.0, 9)
+    serial = [local_weights(Sample(xs=xs, ys=ys), x, c).curve(Sample(xs=xs, ys=ys)) for x in grid]
+    shared = Sample(xs=xs, ys=ys)
+    barrier = threading.Barrier(8)
+
+    def fit_all():
+        barrier.wait(timeout=10)
+        return [local_weights(shared, x, c).curve(shared) for x in grid]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = [f.result(timeout=60) for f in [pool.submit(fit_all) for _ in range(8)]]
+    finally:
+        sys.setswitchinterval(old)
+    for curves in results:
+        for ours, ref in zip(curves, serial):
+            assert np.array_equal(ours.jump_ts, ref.jump_ts)
+            assert np.array_equal(ours.values, ref.values)
 
 
 # ---------------------------------------------------------------------------

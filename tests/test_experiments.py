@@ -31,6 +31,7 @@ from condbands import (
     sup_deviation_statistic,
     sup_experiment,
 )
+from condbands.bands import fit_grid
 from condbands.experiments import band_normalized_sup, step_sup_deviation
 
 EPA = get_kernel("epanechnikov")
@@ -291,13 +292,26 @@ def test_sup_experiment_report():
 
 
 def test_sup_experiment_fits_each_location_once():
-    # one kernel pass per location and replication serves both references
+    # one kernel pass per location and replication serves both references;
+    # the centering curve adds one pass over its quadrature nodes
     n, reps = 300, 3
-    kernel, calls = counting_kernel(EPA, n)
+    kernel, calls = counting_kernel(EPA)
     c = EstimatorConfig(kernel=kernel, bandwidth=reference_bandwidth(n), order=1)
     grid = np.linspace(-1.0, 1.0, 9)
     sup_experiment(M1, n, reps, c, grid, seed=4)
-    assert len(calls) == reps * grid.size
+    assert len(calls) == 2 * reps * grid.size
+
+
+def test_em_constant_fits_each_location_once():
+    # the order-0 and order-1 fits share one kernel pass per location and
+    # replication; each order's centering curve adds one pass over its
+    # quadrature nodes (the two fits used to make 4 passes, not 3)
+    n, reps = 300, 3
+    kernel, calls = counting_kernel(EPA)
+    c = EstimatorConfig(kernel=kernel, bandwidth=reference_bandwidth(n), order=1)
+    grid = np.linspace(-1.0, 1.0, 9)
+    em_constant_experiment(M1, n, reps, c, x_grid=grid, seed=4)
+    assert len(calls) == 3 * reps * grid.size
 
 
 @pytest.mark.parametrize("workers", [0, -3])
@@ -315,15 +329,15 @@ def test_workers_move_replications_onto_pool_threads():
     # worker-count determinism means something only if workers > 1 really
     # evaluates the replications off the calling thread
     n = 150
-    kernel, calls = counting_kernel(EPA, n)
+    kernel, calls = counting_kernel(EPA)
     c = EstimatorConfig(kernel=kernel, bandwidth=reference_bandwidth(n), order=1)
     grid = np.linspace(-0.5, 0.5, 3)
     sup_experiment(M1, n, 4, c, grid, seed=2, workers=1)
-    assert set(calls) == {threading.get_ident()}
+    assert {thread for thread, _ in calls} == {threading.get_ident()}
     calls.clear()
     sup_experiment(M1, n, 4, c, grid, seed=2, workers=2)
-    assert len(calls) == 4 * grid.size
-    assert threading.get_ident() not in set(calls)
+    assert len(calls) == 2 * 4 * grid.size  # a fit and a centering curve per location
+    assert threading.get_ident() not in {thread for thread, _ in calls}
 
 
 def test_em_constant_records_skipped_locations():
@@ -335,6 +349,28 @@ def test_em_constant_records_skipped_locations():
     assert em.summaries[0]["skipped_locations"] == 8
     assert sup.summaries[0]["skipped_locations"] == 4
     assert em_constant_experiment(M1, 200, 2, c, seed=1).summaries[0]["skipped_locations"] == 0
+
+
+def test_em_constant_matches_separate_fits_per_order():
+    # in the tail some windows hold too few points for a linear fit but
+    # enough for a constant one: order 1 is skipped there on its own, and
+    # each order's statistic is the one a separate fit of that order gives
+    n, reps, seed = 200, 4, 1
+    c = EstimatorConfig(kernel=EPA, bandwidth=reference_bandwidth(n), order=1)
+    grid = np.linspace(1.6, 3.6, 11)
+    em = em_constant_experiment(M1, n, reps, c, x_grid=grid, seed=seed)
+    stats, skipped = {0: [], 1: []}, {0: 0, 1: 0}
+    for r in range(reps):
+        sample = draw(M1, n, np.random.SeedSequence(seed, spawn_key=(r,)))
+        for order in (0, 1):
+            c_order = EstimatorConfig(kernel=EPA, bandwidth=c.bandwidth, order=order)
+            skipped[order] += len(fit_grid(sample, grid, c_order, lambda x, fit, half: None)[1])
+            stats[order].append(normalized_sup_statistic(sample, M1, c, grid, order=order))
+    summary = em.summaries[0]
+    assert skipped[1] > skipped[0]
+    assert summary["skipped_locations"] == skipped[0] + skipped[1]
+    for order in (0, 1):
+        assert summary[f"order{order}"]["median"] == pytest.approx(np.median(stats[order]), rel=1e-12)
 
 
 def test_em_constant_references():
