@@ -98,10 +98,7 @@ def _range_spec(text: str) -> tuple:
     parts = text.split(":")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected lo:hi, got {text!r}")
-    try:
-        return (_finite_float(parts[0]), _finite_float(parts[1]))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad range spec {text!r}") from None
+    return (_finite_float(parts[0]), _finite_float(parts[1]))
 
 
 def _list_type(convert, what: str):
@@ -130,13 +127,13 @@ def _add_kernel_arg(sub):
     )
 
 
-def _add_fit_args(sub, order: bool = True):
+def _add_fit_args(sub, orders=(0, 1, 2)):
     _add_kernel_arg(sub)
     sub.add_argument(
         "--bandwidth", default="auto", help='bandwidth in (0,1) or "auto" for n**(-1/5)'
     )
-    if order:
-        sub.add_argument("--order", type=int, default=1, choices=[0, 1, 2])
+    if orders:
+        sub.add_argument("--order", type=int, default=1, choices=orders)
     sub.add_argument("--x-grid", type=_grid_spec, default=(-1.0, 1.0, 41), metavar="START:STOP:COUNT")
 
 
@@ -153,12 +150,12 @@ def _add_experiment(kinds, kind: str, runner):
     return sub
 
 
-def _add_replication_args(sub, order: bool = True):
+def _add_replication_args(sub, orders=(0, 1, 2)):
     sub.add_argument("--n-list", type=_list_type(int, "integer"), default=(500,), metavar="N1,N2,...")
     sub.add_argument("--reps", type=int, default=100)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--workers", type=int, default=1)
-    _add_fit_args(sub, order)
+    _add_fit_args(sub, orders)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -201,8 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("experiment", help="run a verification experiment")
     kinds = p.add_subparsers(dest="experiment", required=True)
+    # the centering reference exists for orders 0 and 1 only
     k = _add_experiment(kinds, "sup", _each_n(exp_mod.sup_experiment))
-    _add_replication_args(k)
+    _add_replication_args(k, orders=(0, 1))
     k = _add_experiment(kinds, "coverage", _each_n(exp_mod.coverage_experiment, "epsilon"))
     _add_replication_args(k)
     k.add_argument("--epsilon", type=_finite_float, default=0.5)
@@ -214,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     # em-constant fits orders 0 and 1 itself; without --x-grid, the library
     # spreads its grid over --interval
     k = _add_experiment(kinds, "em-constant", _each_n(exp_mod.em_constant_experiment, "interval"))
-    _add_replication_args(k, order=False)
+    _add_replication_args(k, orders=())
     k.set_defaults(x_grid=None)
     k.add_argument("--interval", type=_range_spec, default=(-1.0, 1.0), metavar="LO:HI")
 

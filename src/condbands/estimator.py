@@ -77,6 +77,11 @@ class Sample:
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, so the arrays come
+        # back read-only and the caches below are recomputed on first use
+        return Sample, (self.xs, self.ys)
+
     @property
     def n(self) -> int:
         return self.xs.size

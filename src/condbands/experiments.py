@@ -4,9 +4,10 @@ Two reference curves are available when measuring deviations:
 
 * the model's true conditional distribution ("true"), which mixes
   stochastic error with smoothing bias, and
-* the smoothed population curve obtained by replacing empirical local
-  moments with their quadrature expectations ("centering"), which
-  isolates the stochastic error.
+* the centering ("centering"), which isolates the stochastic error: the
+  same local fit of order p applied to the population law instead of the
+  sample, that is, the order-p fit's weights on fixed quadrature nodes z
+  applied to the true F(t | z).
 
 Limit comparisons use the centering reference.  Replication r of an
 experiment seeded with s draws from the child stream (s, spawn_key=r),
@@ -16,9 +17,11 @@ byte-identical regardless of worker count.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
@@ -26,7 +29,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import InsufficientLocalData, InvalidBandwidth, QuadratureFailure
-from .estimator import EstimatorConfig, Sample
+from .estimator import EstimatorConfig, Sample, _power_sums, _weight_vector
 from .bands import fit_grid
 from .kernels import Kernel
 from .simulation import SimModel, cdf_kinks, draw, marginal_density, true_cdf, true_cdf_grid
@@ -113,9 +116,7 @@ def centering_oracle(
     This is the data-free curve the estimator concentrates around before
     bias is removed; it is computed by adaptive quadrature.
     """
-    order = cfg.order if order is None else order
-    if order not in (0, 1):
-        raise ValueError(f"centering is available for orders 0 and 1, got {order!r}")
+    order = _centering_order(cfg.order if order is None else order)
     kernel, h = cfg.kernel, cfg.bandwidth
     m0 = smoothed_moment(model, kernel, h, x, 0)
     r0 = smoothed_response(model, kernel, h, x, t, 0)
@@ -132,23 +133,39 @@ def centering_oracle(
     return (m2 * r0 - m1 * r1) / den
 
 
-_GL_CACHE: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+@functools.cache
+def _gl_nodes(support) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on a kernel's support, or on [-9, 9] without one."""
+    a, b, count = (-9.0, 9.0, 160) if support is None else (*support, 64)
+    u, w = np.polynomial.legendre.leggauss(count)
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    return mid + half * u, half * w
 
 
-def _gl_nodes(kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
-    nodes = _GL_CACHE.get(kernel.name)
-    if nodes is None:
-        if kernel.support is not None:
-            a, b = kernel.support
-            count = 64
-        else:
-            a, b = -9.0, 9.0
-            count = 160
-        u, w = np.polynomial.legendre.leggauss(count)
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        nodes = (mid + half * u, half * w)
-        _GL_CACHE[kernel.name] = nodes
-    return nodes
+def _references(model, x, ts, kernel, h, orders):
+    """The true F(t | x), keyed None, and each order-p centering, keyed p, over ``ts``.
+
+    The centering of order p is the order-p local fit applied to the
+    population law: its weights c_p sit on the quadrature nodes
+    z_k = x - h u_k, whose masses are gw_k K(u_k) f_X(z_k).  One true-cdf
+    matrix serves every reference: row 0 is at x, and c_p @ rows[1:] is the
+    order-p centering.
+    """
+    if not orders:
+        return {None: true_cdf_grid(model, [x], ts)[0]}
+    u, gw = _gl_nodes(kernel.support)
+    z = x - h * u
+    mass = gw * kernel.eval(u) * marginal_density(model, z)
+    total = float(mass.sum())
+    if total <= 0.0:
+        raise InsufficientLocalData(f"smoothed density vanishes at x = {x}")
+    # the weights do not depend on the scale of the masses, but the
+    # degeneracy gate of _weight_vector is absolute
+    mass = mass / total
+    sums = _power_sums(u, mass, 2 * max(orders))
+    rows = true_cdf_grid(model, [x, *z], ts)
+    refs = {p: _weight_vector(u, mass, 1.0, p, sums) @ rows[1:] for p in orders}
+    return {None: rows[0], **refs}
 
 
 def centering_curve(
@@ -161,30 +178,22 @@ def centering_curve(
 ) -> np.ndarray:
     """Vectorized centering values at many response points.
 
-    Fixed-order Gauss-Legendre version of :func:`centering_oracle`; exact
-    to near machine precision for smooth conditional laws (m1) and
-    cross-checked against the adaptive version in the tests.
+    The order-``order`` fit's weights on fixed Gauss-Legendre nodes, applied
+    to the true F(t | z) there; exact to near machine precision for smooth
+    conditional laws (m1) and cross-checked against
+    :func:`centering_oracle` in the tests.
     """
-    if order not in (0, 1):
-        raise ValueError(f"centering is available for orders 0 and 1, got {order!r}")
+    order = _centering_order(order)
     if not 0.0 < h < 1.0:
         raise InvalidBandwidth(f"bandwidth must lie in (0, 1), got {h!r}")
-    u, gw = _gl_nodes(kernel)
-    base = gw * kernel.eval(u) * marginal_density(model, x - h * u)
-    cdf_mat = true_cdf_grid(model, x - h * u, np.asarray(ts, dtype=float))
-    m0 = float(base.sum())
-    r0 = base @ cdf_mat
-    if order == 0:
-        if m0 <= 0.0:
-            raise InsufficientLocalData(f"smoothed density vanishes at x = {x}")
-        return r0 / m0
-    m1 = float((base * u).sum())
-    m2 = float((base * u * u).sum())
-    r1 = (base * u) @ cdf_mat
-    den = m0 * m2 - m1 * m1
-    if den <= 0.0:
-        raise InsufficientLocalData(f"smoothed moment matrix degenerate at x = {x}")
-    return (m2 * r0 - m1 * r1) / den
+    return _references(model, x, np.asarray(ts, dtype=float), kernel, h, (order,))[order]
+
+
+def _centering_order(order):
+    """Reject a centering order other than 0 and 1; return it."""
+    if order not in (0, 1):
+        raise ValueError(f"centering is available for orders 0 and 1, got {order!r}")
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +211,7 @@ def step_sup_deviation(values: np.ndarray, refs: np.ndarray) -> float:
     values = np.asarray(values, dtype=float)
     refs = np.asarray(refs, dtype=float)
     prev = np.concatenate(([0.0], values[:-1]))
-    return float(
-        max(np.abs(values - refs).max(), np.abs(prev - refs).max())
-    )
+    return float(max(np.abs(values - refs).max(), np.abs(prev - refs).max()))
 
 
 def band_normalized_sup(deviations, halfwidths) -> float:
@@ -219,30 +226,29 @@ def band_normalized_sup(deviations, halfwidths) -> float:
 def _location_deviations(sample, model, cfg, x_grid, references):
     """Per-location sup deviations from each reference, and half-widths.
 
-    Each location is fitted once and its curve compared with every name in
-    ``references``; row i of the returned deviations belongs to
-    ``references[i]``.  Degenerate locations are skipped and counted.
+    Each location is fitted once and its curve compared with every entry of
+    ``references``: None for the truth, p for the order-p centering.  Row i
+    of the returned deviations belongs to ``references[i]``.  Degenerate
+    locations are skipped and counted.
     """
-    for reference in references:
-        if reference not in ("true", "centering"):
-            raise ValueError(f'reference must be "true" or "centering", got {reference!r}')
-
     def deviations(x, fit, half):
         curve = fit.curve(sample, monotonize=False)
-        return [_deviation(model, cfg, x, curve, r) for r in references], half
+        return _deviations(model, cfg, x, [curve] * len(references), references), half
 
     kept, skipped = fit_grid(sample, x_grid, cfg, deviations)
     devs, halves = zip(*kept)
     return np.array(devs).T, np.array(halves), len(skipped)
 
 
-def _deviation(model, cfg, x, curve, reference):
-    """Sup over t of |curve - reference| at location ``x``."""
-    if reference == "true":
-        refs = true_cdf(model, x, curve.jump_ts)
-    else:
-        refs = centering_curve(model, x, curve.jump_ts, cfg.kernel, cfg.bandwidth, curve.order)
-    return step_sup_deviation(curve.values, refs)
+def _deviations(model, cfg, x, curves, references):
+    """Sup over t of |curve - reference| at ``x`` for each pair of curve and reference.
+
+    The curves come from one kernel window, so they share their jump
+    points, and one call of :func:`_references` serves every reference.
+    """
+    orders = [r for r in references if r is not None]
+    refs = _references(model, x, curves[0].jump_ts, cfg.kernel, cfg.bandwidth, orders)
+    return [step_sup_deviation(c.values, refs[r]) for c, r in zip(curves, references)]
 
 
 def sup_deviation_statistic(
@@ -258,9 +264,10 @@ def sup_deviation_statistic(
     measures total error, with ``reference="centering"`` stochastic error
     only.
     """
-    (devs,), halves, _ = _location_deviations(
-        sample, model, cfg, _as_grid(x_grid), (reference,)
-    )
+    if reference not in ("true", "centering"):
+        raise ValueError(f'reference must be "true" or "centering", got {reference!r}')
+    ref = None if reference == "true" else _centering_order(cfg.order)
+    (devs,), halves, _ = _location_deviations(sample, model, cfg, _as_grid(x_grid), (ref,))
     return band_normalized_sup(devs, halves)
 
 
@@ -277,9 +284,8 @@ def normalized_sup_statistic(
     interval.
     """
     use_cfg = cfg if order is None else replace(cfg, order=order)
-    (devs,), _, _ = _location_deviations(
-        sample, model, use_cfg, _as_grid(x_grid), ("centering",)
-    )
+    refs = (_centering_order(use_cfg.order),)
+    (devs,), _, _ = _location_deviations(sample, model, use_cfg, _as_grid(x_grid), refs)
     return _sup_scale(sample.n, cfg.bandwidth) * float(devs.max())
 
 
@@ -392,11 +398,12 @@ def sup_experiment(
 ) -> ExperimentReport:
     """Replicated sup-deviation statistics against both references."""
     _check_experiment_args(n, reps, workers)
+    references = (None, _centering_order(cfg.order))
     grid = _as_grid(x_grid)
 
     def stat(sample):
         (d_tot, d_sto), halves, skipped = _location_deviations(
-            sample, model, cfg, grid, ("true", "centering")
+            sample, model, cfg, grid, references
         )
         return band_normalized_sup(d_tot, halves), band_normalized_sup(d_sto, halves), skipped
 
@@ -440,7 +447,7 @@ def coverage_experiment(
     grid = _as_grid(x_grid)
 
     def stat(sample):
-        (devs,), halves, skipped = _location_deviations(sample, model, cfg, grid, ("true",))
+        (devs,), halves, skipped = _location_deviations(sample, model, cfg, grid, (None,))
         return band_normalized_sup(devs, halves), skipped
 
     lams, skipped = _replicate(model, n, reps, seed, workers, stat)
@@ -505,18 +512,10 @@ def bochner_check(
         for h in hs
     ]
 
-    flags = {}
-    first = summaries[0]["residuals"]
-    last = summaries[-1]["residuals"]
-    for key in moments:
-        flags[f"{key}_improves"] = bool(last[key] <= first[key] + 1e-12)
-    flags["odd_moments_negligible"] = bool(
-        max(
-            max(s["residuals"]["density_moment_1"] for s in summaries),
-            max(s["residuals"]["response_moment_1"] for s in summaries),
-        )
-        < 1e-6
-    )
+    first, last = summaries[0]["residuals"], summaries[-1]["residuals"]
+    flags = {f"{key}_improves": bool(last[key] <= first[key] + 1e-12) for key in moments}
+    odd = [s["residuals"][k] for s in summaries for k in ("density_moment_1", "response_moment_1")]
+    flags["odd_moments_negligible"] = bool(max(odd) < 1e-6)
 
     return ExperimentReport(
         kind="bochner",
@@ -564,12 +563,10 @@ def em_constant_experiment(
             # the order-1 fit reuses the order-0 window; it is skipped alone
             # where it is degenerate, while a location degenerate at order 0
             # has d0(x) too small for a band at either order
-            devs = [_deviation(model, cfg, x, fit.curve(sample, monotonize=False), "centering")]
-            try:
-                curve1 = fit.at_order(1).curve(sample, monotonize=False)
-            except InsufficientLocalData:
-                return devs
-            return devs + [_deviation(model, cfg, x, curve1, "centering")]
+            curves = [fit.curve(sample, monotonize=False)]
+            with suppress(InsufficientLocalData):
+                curves.append(fit.at_order(1).curve(sample, monotonize=False))
+            return _deviations(model, cfg, x, curves, (0, 1)[: len(curves)])
 
         kept, skipped = fit_grid(sample, grid, replace(cfg, order=0), deviations)
         devs1 = [d[1] for d in kept if len(d) == 2]

@@ -345,6 +345,10 @@ def test_parse_args_round_trip():
     assert (exp.n_list, exp.reps, exp.workers) == ((500,), 100, 1)
     cov = parse_args(["experiment", "coverage", "--model", "m1", "--output", "out.json"])
     assert cov.epsilon == 0.5
+    # coverage compares with the truth only, so it takes order 2; sup does not
+    cov2 = parse_args(["experiment", "coverage", "--model", "m1", "--order", "2",
+                       "--output", "out.json"])
+    assert cov2.order == 2
 
 
 # The options each experiment kind reads.  Any other experiment option is
@@ -421,6 +425,25 @@ def test_non_finite_numbers_are_usage_errors(tmp_path, capsys, argv):
         main(argv + ["--output", str(out)])
     assert exc.value.code == 2
     assert "expected a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["experiment", "sup", "--model", "m1", "--order", "2"],
+     "argument --order: invalid choice: 2"),
+    (["regression", "--model", "m1", "--y-range", "a:1"], "invalid float value: 'a'"),
+    (["experiment", "em-constant", "--model", "m1", "--interval", "a:1"],
+     "invalid float value: 'a'"),
+], ids=["sup-order-2", "y-range-not-a-number", "interval-not-a-number"])
+def test_malformed_option_values_are_usage_errors(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--output", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    command = " ".join(argv[: argv.index("--model")])
+    assert err.startswith(f"usage: condbands {command} [-h]")
+    assert message in err
     assert not out.exists()
 
 

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -329,6 +331,24 @@ def test_sample_caches_are_read_only_and_outside_equality():
             arr[0] = 0
     assert [f.name for f in dataclasses.fields(s)] == ["xs", "ys"]
     assert "x_order" not in repr(s)
+
+
+@pytest.mark.parametrize("clone", [
+    lambda s: pickle.loads(pickle.dumps(s)),
+    copy.copy,
+    copy.deepcopy,
+], ids=["pickle", "copy", "deepcopy"])
+def test_sample_copies_stay_read_only_without_caches(clone):
+    s = Sample(xs=[0.3, -0.1, 0.3, 0.0], ys=[0.5, 0.2, 0.2, 0.9])
+    _ = s.x_order, s.xs_sorted, s.y_rank, s.y_range  # fill the caches first
+    c = clone(s)
+    # Sample == compares arrays elementwise, so compare them one by one
+    assert np.array_equal(c.xs, s.xs) and np.array_equal(c.ys, s.ys)
+    assert not c.xs.flags.writeable and not c.ys.flags.writeable
+    assert set(vars(c)) == {"xs", "ys"}
+    for arr in (c.x_order, c.xs_sorted, c.y_rank):
+        assert not arr.flags.writeable
+    assert c.y_rank.tolist() == s.y_rank.tolist()
 
 
 def test_sample_caches_computed_from_many_threads_agree():

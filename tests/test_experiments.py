@@ -7,11 +7,15 @@ import pytest
 from conftest import counting_kernel
 from scipy.integrate import quad
 
+import condbands.experiments
+import condbands.simulation
 from condbands import (
     EstimatorConfig,
     InvalidBandwidth,
+    band_halfwidth,
     bochner_check,
     cdf_band,
+    cdf_curve,
     centering_curve,
     centering_oracle,
     coverage_experiment,
@@ -30,6 +34,7 @@ from condbands import (
     smoothed_response,
     sup_deviation_statistic,
     sup_experiment,
+    true_cdf,
 )
 from condbands.bands import fit_grid
 from condbands.experiments import band_normalized_sup, step_sup_deviation
@@ -90,6 +95,20 @@ def test_centering_curve_matches_adaptive_quadrature(kernel, order):
     fast = centering_curve(M1, 0.3, ts, kernel, 0.3, order)
     slow = np.array([centering_oracle(M1, 0.3, t, c, order) for t in ts])
     assert np.abs(fast - slow).max() <= 1e-10
+
+
+@pytest.mark.parametrize("kernel", [EPA, UNI], ids=["epanechnikov", "uniform"])
+@pytest.mark.parametrize("order", [0, 1])
+def test_centering_curve_matches_the_oracle_in_the_far_tail(kernel, order):
+    # far out f_X falls steeply across the window, so the raw node masses
+    # are tiny: the centering weights must come from masses that sum to one,
+    # or the fit's absolute degeneracy gate rejects the location
+    ts = np.array([0.01, 0.05, 0.1, 0.35, 0.8])
+    c = EstimatorConfig(kernel=kernel, bandwidth=0.3, order=order)
+    for x in (3.0, 5.0, 6.0):
+        fast = centering_curve(M1, x, ts, kernel, 0.3, order)
+        slow = np.array([centering_oracle(M1, x, t, c, order) for t in ts])
+        assert np.abs(fast - slow).max() <= 1e-10
 
 
 def test_centering_curve_m2_within_loose_tolerance():
@@ -194,6 +213,26 @@ def test_sup_statistic_reference_validation():
     # rejected before any fit, also on a grid where every fit is degenerate
     with pytest.raises(ValueError):
         sup_deviation_statistic(sample, M1, cfg(), [50.0], reference="oracle")
+
+
+@pytest.mark.parametrize("model", [M1, M2], ids=["m1", "m2"])
+@pytest.mark.parametrize("order", [0, 1])
+def test_sup_statistic_equals_a_per_location_recomputation(model, order):
+    # each location's references come from one shared true-cdf matrix; they
+    # must be the values the public functions give location by location
+    sample = draw(model, 400, 21)
+    c = cfg(h=reference_bandwidth(400), order=order)
+    grid = np.linspace(-1.0, 1.0, 7)
+    truth, centering = [], []
+    for x in grid:
+        curve = cdf_curve(sample, x, c, monotonize=False)
+        half = band_halfwidth(sample, x, c)
+        truth.append(step_sup_deviation(curve.values, true_cdf(model, x, curve.jump_ts)) / half)
+        refs = centering_curve(model, x, curve.jump_ts, c.kernel, c.bandwidth, order)
+        centering.append(step_sup_deviation(curve.values, refs) / half)
+    assert sup_deviation_statistic(sample, model, c, grid, "true") == max(truth)
+    stoch = sup_deviation_statistic(sample, model, c, grid, "centering")
+    assert stoch == pytest.approx(max(centering), rel=0, abs=1e-12)
 
 
 def test_normalized_sup_statistic_positive():
@@ -304,14 +343,48 @@ def test_sup_experiment_fits_each_location_once():
 
 def test_em_constant_fits_each_location_once():
     # the order-0 and order-1 fits share one kernel pass per location and
-    # replication; each order's centering curve adds one pass over its
-    # quadrature nodes (the two fits used to make 4 passes, not 3)
+    # replication, and both orders' centerings share one more pass over the
+    # quadrature nodes
     n, reps = 300, 3
     kernel, calls = counting_kernel(EPA)
     c = EstimatorConfig(kernel=kernel, bandwidth=reference_bandwidth(n), order=1)
     grid = np.linspace(-1.0, 1.0, 9)
     em_constant_experiment(M1, n, reps, c, x_grid=grid, seed=4)
-    assert len(calls) == 3 * reps * grid.size
+    assert len(calls) == 2 * reps * grid.size
+
+
+def test_one_true_cdf_matrix_per_location(monkeypatch):
+    # the truth and every centering at a location are rows, or weighted
+    # sums of rows, of one true_cdf_grid matrix
+    rows = []
+    real = condbands.simulation.true_cdf_grid
+
+    def counting(model, xs, ts):
+        rows.append(len(xs))
+        return real(model, xs, ts)
+
+    monkeypatch.setattr(condbands.simulation, "true_cdf_grid", counting)
+    monkeypatch.setattr(condbands.experiments, "true_cdf_grid", counting)
+    n, reps = 300, 3
+    c = cfg(h=reference_bandwidth(n))
+    grid = np.linspace(-1.0, 1.0, 9)
+    sup_experiment(M1, n, reps, c, grid, seed=4)
+    assert len(rows) == reps * grid.size
+    rows.clear()
+    em_constant_experiment(M1, n, reps, c, x_grid=grid, seed=4)
+    assert len(rows) == reps * grid.size
+    rows.clear()
+    # coverage needs the truth alone: one row at x and no quadrature nodes
+    coverage_experiment(M1, n, reps, 0.5, c, grid, seed=4)
+    assert rows == [1] * (reps * grid.size)
+
+
+def test_sup_experiment_rejects_order_two_before_any_fit():
+    kernel, calls = counting_kernel(EPA)
+    c = EstimatorConfig(kernel=kernel, bandwidth=0.3, order=2)
+    with pytest.raises(ValueError, match="centering is available for orders 0 and 1, got 2"):
+        sup_experiment(M1, 200, 2, c)
+    assert calls == []
 
 
 @pytest.mark.parametrize("workers", [0, -3])
