@@ -32,7 +32,9 @@ from .errors import InsufficientLocalData, InvalidBandwidth, QuadratureFailure
 from .estimator import EstimatorConfig, Sample, _power_sums, _weight_vector
 from .bands import fit_grid
 from .kernels import Kernel
-from .simulation import SimModel, cdf_kinks, draw, marginal_density, true_cdf, true_cdf_grid
+from .simulation import (
+    SimModel, cdf_kinks, draw, marginal_density, true_cdf, true_cdf_grid, weighted_cdf,
+)
 
 __all__ = [
     "ExperimentReport",
@@ -142,17 +144,20 @@ def _gl_nodes(support) -> tuple[np.ndarray, np.ndarray]:
     return mid + half * u, half * w
 
 
-def _references(model, x, ts, kernel, h, orders):
-    """The true F(t | x), keyed None, and each order-p centering, keyed p, over ``ts``.
+def _references(model, x, ts, kernel, h, references):
+    """Each reference curve at x over ``ts``, keyed as in ``references``.
 
-    The centering of order p is the order-p local fit applied to the
-    population law: its weights c_p sit on the quadrature nodes
-    z_k = x - h u_k, whose masses are gw_k K(u_k) f_X(z_k).  One true-cdf
-    matrix serves every reference: row 0 is at x, and c_p @ rows[1:] is the
-    order-p centering.
+    None is the true F(t | x): the one-row true-cdf matrix at x, which is
+    the value :func:`true_cdf` gives.  p is the centering of order p, the
+    order-p local fit applied to the population law: its weights c_p sit
+    on the quadrature nodes z_k = x - h u_k, whose masses are
+    gw_k K(u_k) f_X(z_k), and it is sum_k c_p,k F(t | z_k).  One call of
+    :func:`weighted_cdf` gives every order's centering.
     """
+    refs = {None: true_cdf_grid(model, [x], ts)[0]} if None in references else {}
+    orders = [r for r in references if r is not None]
     if not orders:
-        return {None: true_cdf_grid(model, [x], ts)[0]}
+        return refs
     u, gw = _gl_nodes(kernel.support)
     z = x - h * u
     mass = gw * kernel.eval(u) * marginal_density(model, z)
@@ -163,9 +168,9 @@ def _references(model, x, ts, kernel, h, orders):
     # degeneracy gate of _weight_vector is absolute
     mass = mass / total
     sums = _power_sums(u, mass, 2 * max(orders))
-    rows = true_cdf_grid(model, [x, *z], ts)
-    refs = {p: _weight_vector(u, mass, 1.0, p, sums) @ rows[1:] for p in orders}
-    return {None: rows[0], **refs}
+    weights = [_weight_vector(u, mass, 1.0, p, sums) for p in orders]
+    refs.update(zip(orders, weighted_cdf(model, z, weights, ts)))
+    return refs
 
 
 def centering_curve(
@@ -246,8 +251,7 @@ def _deviations(model, cfg, x, curves, references):
     The curves come from one kernel window, so they share their jump
     points, and one call of :func:`_references` serves every reference.
     """
-    orders = [r for r in references if r is not None]
-    refs = _references(model, x, curves[0].jump_ts, cfg.kernel, cfg.bandwidth, orders)
+    refs = _references(model, x, curves[0].jump_ts, cfg.kernel, cfg.bandwidth, references)
     return [step_sup_deviation(c.values, refs[r]) for c, r in zip(curves, references)]
 
 

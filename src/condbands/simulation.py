@@ -7,7 +7,9 @@ m1: Y | X = x follows a Beta(1, 1 + x^2) law on [0, 1], so
     1 / (2 + x^2).
 
 m2: Y | X = x is uniform on (-|x|, |x|); at x = 0 the law degenerates to
-    a point mass at 0.  The conditional mean is identically 0.
+    a point mass at 0.  So F(t | x) = [t >= 0] where |x| <= |t|, and
+    (t + |x|) / (2 |x|) where |x| > |t|.  The conditional mean is
+    identically 0.
 
 Each model's cdf, inverse (for draws and quantiles), densities and cdf
 kink points are written here once; no other module branches on its kind.
@@ -37,6 +39,7 @@ __all__ = [
     "draw_conditional",
     "true_cdf",
     "true_cdf_grid",
+    "weighted_cdf",
     "cdf_kinks",
     "true_quantile",
     "true_regression",
@@ -106,10 +109,37 @@ def true_cdf_grid(model: SimModel, xs, ts) -> np.ndarray:
         return np.where(ts < 0.0, 0.0, np.where(ts > 1.0, 1.0, inner))
     ax = np.abs(xs)[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = (ts[None, :] + ax) / (2.0 * ax)
-    out = np.clip(ratio, 0.0, 1.0)
-    degenerate = (ts[None, :] >= 0.0).astype(float)
-    return np.where(ax == 0.0, degenerate, out)
+        inside = (ts + ax) / (2.0 * ax)
+    return np.where(ax <= np.abs(ts), (ts >= 0.0).astype(float), inside)
+
+
+def weighted_cdf(model: SimModel, zs, weights, ts) -> np.ndarray:
+    """Weighted sums of F(t | z) over the nodes ``zs``: ``weights @ true_cdf_grid(model, zs, ts)``.
+
+    ``weights`` holds one row of node weights per sum, so the result has
+    shape (len(weights), len(ts)).  m2's cdf is [t >= 0] where |z| <= |t|
+    and (t + |z|) / (2 |z|) = 1/2 + t / (2 |z|) where |z| > |t|, so its
+    sums need only the nodes sorted by |z|, running sums of w and of
+    w / |z|, and one ``searchsorted`` of |t|: O((K + T) log K) for K nodes
+    and T points instead of the K x T matrix.
+    """
+    zs = np.asarray(zs, dtype=float)
+    ts = np.asarray(ts, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if model.kind == "m1":
+        return weights @ true_cdf_grid(model, zs, ts)
+    order = np.argsort(-np.abs(zs))
+    az = np.abs(zs)[order]
+    w = weights[:, order]
+    # running sums of w (rows :p) and of w / |z| (rows p:) from the largest
+    # |z| down: a sum over |z| > |t| then keeps only terms t * w / |z| smaller
+    # than their |w|, and the w of the other nodes is the total minus it
+    p = len(w)
+    sums = np.zeros((2 * p, az.size + 1))
+    np.cumsum(np.concatenate((w, w / np.where(az > 0.0, az, np.inf))), axis=1, out=sums[:, 1:])
+    above = sums.take(np.searchsorted(-az, -np.abs(ts)), axis=1)  # sums over |z| > |t|
+    above_w = above[:p]
+    return 0.5 * (above_w + ts * above[p:]) + (ts >= 0.0) * (sums[:p, -1:] - above_w)
 
 
 def cdf_kinks(model: SimModel, t: float) -> tuple[float, ...]:

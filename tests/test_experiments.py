@@ -218,21 +218,27 @@ def test_sup_statistic_reference_validation():
 @pytest.mark.parametrize("model", [M1, M2], ids=["m1", "m2"])
 @pytest.mark.parametrize("order", [0, 1])
 def test_sup_statistic_equals_a_per_location_recomputation(model, order):
-    # each location's references come from one shared true-cdf matrix; they
-    # must be the values the public functions give location by location
-    sample = draw(model, 400, 21)
-    c = cfg(h=reference_bandwidth(400), order=order)
+    # each location's references, also where sup_experiment asks for both at
+    # once, must be the values the public functions give location by
+    # location; in the uniform case, m1's truth at x = 1 read from a
+    # many-row matrix is 1 ulp away from true_cdf and moves the total error
     grid = np.linspace(-1.0, 1.0, 7)
-    truth, centering = [], []
-    for x in grid:
-        curve = cdf_curve(sample, x, c, monotonize=False)
-        half = band_halfwidth(sample, x, c)
-        truth.append(step_sup_deviation(curve.values, true_cdf(model, x, curve.jump_ts)) / half)
-        refs = centering_curve(model, x, curve.jump_ts, c.kernel, c.bandwidth, order)
-        centering.append(step_sup_deviation(curve.values, refs) / half)
-    assert sup_deviation_statistic(sample, model, c, grid, "true") == max(truth)
-    stoch = sup_deviation_statistic(sample, model, c, grid, "centering")
-    assert stoch == pytest.approx(max(centering), rel=0, abs=1e-12)
+    for kernel, n, seed in ((EPA, 400, 21), (UNI, 150, 40)):
+        sample = draw(model, n, np.random.SeedSequence(seed, spawn_key=(0,)))
+        c = cfg(kernel, h=reference_bandwidth(n), order=order)
+        truth, centering = [], []
+        for x in grid:
+            curve = cdf_curve(sample, x, c, monotonize=False)
+            half = band_halfwidth(sample, x, c)
+            truth.append(step_sup_deviation(curve.values, true_cdf(model, x, curve.jump_ts)) / half)
+            refs = centering_curve(model, x, curve.jump_ts, c.kernel, c.bandwidth, order)
+            centering.append(step_sup_deviation(curve.values, refs) / half)
+        assert sup_deviation_statistic(sample, model, c, grid, "true") == max(truth)
+        stoch = sup_deviation_statistic(sample, model, c, grid, "centering")
+        assert stoch == pytest.approx(max(centering), rel=0, abs=1e-12)
+        summary = sup_experiment(model, n, 1, c, grid, seed=seed).summaries[0]
+        assert summary["total_error"]["median"] == max(truth)
+        assert summary["stochastic_error"]["median"] == pytest.approx(max(centering), rel=0, abs=1e-12)
 
 
 def test_normalized_sup_statistic_positive():
@@ -354,13 +360,14 @@ def test_em_constant_fits_each_location_once():
 
 
 def test_one_true_cdf_matrix_per_location(monkeypatch):
-    # the truth and every centering at a location are rows, or weighted
-    # sums of rows, of one true_cdf_grid matrix
-    rows = []
+    # the truth is a one-row matrix at x; m1's centerings are weighted sums
+    # of the rows of one matrix over the quadrature nodes, while m2 sums its
+    # nodes from sorted running sums and builds no matrix over them
+    calls = []
     real = condbands.simulation.true_cdf_grid
 
     def counting(model, xs, ts):
-        rows.append(len(xs))
+        calls.append((model.kind, len(xs)))
         return real(model, xs, ts)
 
     monkeypatch.setattr(condbands.simulation, "true_cdf_grid", counting)
@@ -368,15 +375,29 @@ def test_one_true_cdf_matrix_per_location(monkeypatch):
     n, reps = 300, 3
     c = cfg(h=reference_bandwidth(n))
     grid = np.linspace(-1.0, 1.0, 9)
-    sup_experiment(M1, n, reps, c, grid, seed=4)
-    assert len(rows) == reps * grid.size
-    rows.clear()
-    em_constant_experiment(M1, n, reps, c, x_grid=grid, seed=4)
-    assert len(rows) == reps * grid.size
-    rows.clear()
-    # coverage needs the truth alone: one row at x and no quadrature nodes
-    coverage_experiment(M1, n, reps, 0.5, c, grid, seed=4)
-    assert rows == [1] * (reps * grid.size)
+    locations = reps * grid.size
+    nodes = [("m1", 64)] * locations
+    runs = {
+        "sup": lambda model: sup_experiment(model, n, reps, c, grid, seed=4),
+        "em-constant": lambda model: em_constant_experiment(model, n, reps, c, x_grid=grid, seed=4),
+        # coverage needs the truth alone: one row at x and no quadrature nodes
+        "coverage": lambda model: coverage_experiment(model, n, reps, 0.5, c, grid, seed=4),
+    }
+    expected = {
+        ("sup", "m1"): [("m1", 1)] * locations + nodes,
+        ("em-constant", "m1"): nodes,
+        ("coverage", "m1"): [("m1", 1)] * locations,
+        ("sup", "m2"): [("m2", 1)] * locations,
+        ("em-constant", "m2"): [],
+        ("coverage", "m2"): [("m2", 1)] * locations,
+    }
+    for model in (M1, M2):
+        for kind, run in runs.items():
+            calls.clear()
+            run(model)
+            assert sorted(calls) == expected[kind, model.kind], kind
+            # no m2 call evaluates more than the one row at x
+            assert all(rows == 1 for k, rows in calls if k == "m2")
 
 
 def test_sup_experiment_rejects_order_two_before_any_fit():

@@ -18,6 +18,8 @@ from condbands import (
     true_quantile,
     true_regression,
 )
+from condbands.experiments import _gl_nodes
+from condbands.simulation import weighted_cdf
 
 M1 = sim_model("m1")
 M2 = sim_model("m2")
@@ -108,6 +110,28 @@ def test_true_cdf_is_the_one_location_row_of_the_grid(kind, x):
         value = true_cdf(model, x, float(t))
         assert type(value) is float
         assert np.float64(value).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["m1", "m2"])
+@pytest.mark.parametrize("support", [(-1.0, 1.0), None], ids=["compact", "gaussian"])
+@pytest.mark.parametrize("rows", [1, 2])
+def test_weighted_cdf_is_the_weighted_sum_of_grid_rows(kind, support, rows):
+    # the centering's nodes, z = x - h u, plus nodes at z = 0 and at
+    # |z| = |t|; t at 0, below 0, at +-|z| and beyond every node's support
+    model = sim_model(kind)
+    u, _ = _gl_nodes(support)
+    zs = np.concatenate((0.2 - 0.3 * u, [0.0, -0.0, 0.35, -0.35, 0.6]))
+    ts = np.concatenate((
+        [0.0, -0.0, -0.2, -1.0, 0.35, -0.35, 0.6, -0.6, 1.0, 1.5, -40.0, 40.0],
+        zs[::7], -zs[3::11], np.linspace(-3.0, 3.0, 61),
+    ))
+    weights = np.random.default_rng(rows).standard_normal((rows, zs.size))
+    got = weighted_cdf(model, zs, weights, ts)
+    want = weights @ true_cdf_grid(model, zs, ts)
+    assert got.shape == want.shape == (rows, ts.size)
+    scale = np.abs(weights).sum(axis=1, keepdims=True)
+    assert np.all(np.abs(got - want) <= 1e-14 * scale)
+    assert weighted_cdf(model, zs, weights, []).shape == (rows, 0)
 
 
 @pytest.mark.parametrize("kind", ["m1", "m2"])
