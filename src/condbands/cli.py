@@ -154,7 +154,8 @@ def _add_replication_args(sub, orders=(0, 1, 2)):
     sub.add_argument("--n-list", type=_list_type(int, "integer"), default=(500,), metavar="N1,N2,...")
     sub.add_argument("--reps", type=int, default=100)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--workers", type=int, default=1)
+    sub.add_argument("--workers", type=int, default=1,
+                     help="kept for compatibility, must be >= 1; changes neither report nor speed")
     _add_fit_args(sub, orders)
 
 

@@ -11,8 +11,9 @@ Two reference curves are available when measuring deviations:
 
 Limit comparisons use the centering reference.  Replication r of an
 experiment seeded with s draws from the child stream (s, spawn_key=r),
-and results are reduced in replication order, so reports are
-byte-identical regardless of worker count.
+and the replications run in order on the calling thread.  The
+experiments' ``workers`` argument is accepted for compatibility: it must
+be an integer >= 1 and changes neither the report nor the speed.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+import numbers
 from contextlib import suppress
 from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
@@ -330,31 +331,24 @@ def _stats(values: np.ndarray) -> dict:
 
 
 def _check_experiment_args(n, reps, workers):
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    for name, value, least in (("n", n, 2), ("reps", reps, 1), ("workers", workers, 1)):
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
-def _replicate(model, n, reps, seed, workers, stat) -> list[np.ndarray]:
+def _replicate(model, n, reps, seed, stat) -> list[np.ndarray]:
     """Columns of ``stat(sample)`` over replications 0 .. reps - 1.
 
     Replication r draws its sample from the child stream with spawn key
-    (r,) of ``seed``; with ``workers > 1`` the replications run on a
-    thread pool.  ``stat`` returns a tuple, and column i holds its i-th
-    entries in replication order, so the columns do not depend on the
-    worker count.
+    (r,) of ``seed`` and runs on the calling thread.  ``stat`` returns a
+    tuple, and column i holds its i-th entries in replication order.
     """
-    def one(r):
-        return stat(draw(model, n, np.random.SeedSequence(seed, spawn_key=(r,))))
-
-    if workers == 1:
-        results = [one(r) for r in range(reps)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, range(reps)))
+    results = [
+        stat(draw(model, n, np.random.SeedSequence(seed, spawn_key=(r,))))
+        for r in range(reps)
+    ]
     return [np.array(column) for column in zip(*results)]
 
 
@@ -411,7 +405,7 @@ def sup_experiment(
         )
         return band_normalized_sup(d_tot, halves), band_normalized_sup(d_sto, halves), skipped
 
-    total, stoch, skipped = _replicate(model, n, reps, seed, workers, stat)
+    total, stoch, skipped = _replicate(model, n, reps, seed, stat)
     med = float(np.median(stoch))
     return _replicated_report(
         "sup", model, n, reps, seed, cfg, grid, skipped,
@@ -454,7 +448,7 @@ def coverage_experiment(
         (devs,), halves, skipped = _location_deviations(sample, model, cfg, grid, (None,))
         return band_normalized_sup(devs, halves), skipped
 
-    lams, skipped = _replicate(model, n, reps, seed, workers, stat)
+    lams, skipped = _replicate(model, n, reps, seed, stat)
     upper_hits = lams <= 1.0 + epsilon
     lower_hits = lams <= 1.0 - epsilon
     return _replicated_report(
@@ -583,7 +577,7 @@ def em_constant_experiment(
             2 * len(skipped) + len(kept) - len(devs1),
         )
 
-    stats0, stats1, skipped = _replicate(model, n, reps, seed, workers, stat)
+    stats0, stats1, skipped = _replicate(model, n, reps, seed, stat)
     med0 = float(np.median(stats0))
     med1 = float(np.median(stats1))
     return _replicated_report(

@@ -419,19 +419,56 @@ def test_replicated_experiments_reject_workers_below_one(workers):
         em_constant_experiment(M1, 200, 2, c, workers=workers)
 
 
-def test_workers_move_replications_onto_pool_threads():
-    # worker-count determinism means something only if workers > 1 really
-    # evaluates the replications off the calling thread
+@pytest.mark.parametrize("name, n, reps, workers", [
+    ("reps", 200, 2.5, 1),
+    ("n", 200.0, 2, 1),
+    ("n", np.float64(200.0), 2, 1),
+    ("workers", 200, 2, 1.5),
+    ("workers", 200, 2, "2"),
+], ids=["reps-2.5", "n-200.0", "n-numpy-float", "workers-1.5", "workers-str"])
+def test_replicated_experiments_reject_non_integral_counts(name, n, reps, workers):
+    c = cfg()
+    match = f"{name} must be an integer"
+    with pytest.raises(ValueError, match=match):
+        sup_experiment(M1, n, reps, c, workers=workers)
+    with pytest.raises(ValueError, match=match):
+        coverage_experiment(M1, n, reps, 0.5, c, workers=workers)
+    with pytest.raises(ValueError, match=match):
+        em_constant_experiment(M1, n, reps, c, workers=workers)
+
+
+def test_replicated_experiments_accept_numpy_integer_counts():
+    c = cfg(h=reference_bandwidth(150))
+    grid = np.linspace(-0.5, 0.5, 3)
+    plain = sup_experiment(M1, 150, 2, c, grid, seed=2, workers=1)
+    numpy_ints = sup_experiment(
+        M1, np.int64(150), np.int32(2), c, grid, seed=2, workers=np.int64(1)
+    )
+    assert numpy_ints.to_json() == plain.to_json()
+
+
+def test_replications_run_on_the_calling_thread_at_any_worker_count():
+    # workers is accepted for compatibility only: every kernel evaluation
+    # happens on the caller's thread and the report does not depend on it
     n = 150
     kernel, calls = counting_kernel(EPA)
     c = EstimatorConfig(kernel=kernel, bandwidth=reference_bandwidth(n), order=1)
     grid = np.linspace(-0.5, 0.5, 3)
-    sup_experiment(M1, n, 4, c, grid, seed=2, workers=1)
-    assert {thread for thread, _ in calls} == {threading.get_ident()}
-    calls.clear()
-    sup_experiment(M1, n, 4, c, grid, seed=2, workers=2)
-    assert len(calls) == 2 * 4 * grid.size  # a fit and a centering curve per location
-    assert threading.get_ident() not in {thread for thread, _ in calls}
+    runs = {
+        "sup": lambda w: sup_experiment(M1, n, 4, c, grid, seed=2, workers=w),
+        "coverage": lambda w: coverage_experiment(M1, n, 4, 0.5, c, grid, seed=2, workers=w),
+        "em-constant": lambda w: em_constant_experiment(M1, n, 4, c, x_grid=grid, seed=2, workers=w),
+    }
+    for kind, run in runs.items():
+        reports = []
+        for workers in (1, 2):
+            calls.clear()
+            reports.append(run(workers).to_json())
+            assert calls, kind
+            assert {thread for thread, _ in calls} == {threading.get_ident()}, kind
+            if kind == "sup":
+                assert len(calls) == 2 * 4 * grid.size  # a fit and a centering curve per location
+        assert reports[0] == reports[1], kind
 
 
 def test_em_constant_records_skipped_locations():
