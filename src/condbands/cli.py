@@ -33,9 +33,31 @@ __all__ = ["ingest_csv", "build_parser", "parse_args", "run", "main"]
 
 
 def ingest_csv(path: str) -> Sample:
-    """Read a sample from CSV with header ``x,y``; strict about bad rows."""
+    """Read a sample from CSV with header ``x,y``; strict about bad rows.
+
+    The file is UTF-8 whatever the locale, and may start with a byte order
+    mark.
+    """
+    try:
+        return _ingest_csv(path)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8: {exc.reason}", line=_undecodable_line(path)) from None
+
+
+def _undecodable_line(path: str):
+    """Number of the first line of ``path`` that is not valid UTF-8."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return lineno
+    return None
+
+
+def _ingest_csv(path: str) -> Sample:
     xs, ys = [], []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = None
         for lineno, row in enumerate(reader, start=1):
@@ -502,10 +524,11 @@ def run(config: argparse.Namespace) -> int:
 
 def main(argv=None) -> int:
     config = parse_args(argv)
-    # The library rejects out-of-range argument values with ValueError.
+    # The library rejects out-of-range argument values with ValueError, and
+    # a path that cannot be read or written fails with OSError.
     try:
         return run(config)
-    except (CondBandsError, ValueError) as exc:
+    except (CondBandsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -27,7 +27,6 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import InsufficientLocalData, InvalidBandwidth, QuadratureFailure
 from .estimator import EstimatorConfig, Sample, _power_sums, _weight_vector
@@ -91,6 +90,10 @@ def _smoothed(model, kernel, h, x, j, t=None):
     On a compact support the panels split where x - h u meets a kink of the
     conditional law.
     """
+    # Imported here, not at module level: importing scipy.integrate costs
+    # about 0.6 s and 44 MB, and nothing else in the package needs it.
+    from scipy.integrate import quad
+
     if not 0.0 < h < 1.0:
         raise InvalidBandwidth(f"bandwidth must lie in (0, 1), got {h!r}")
     a, b = kernel.support if kernel.support is not None else (-np.inf, np.inf)

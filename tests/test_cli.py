@@ -124,6 +124,23 @@ def test_ingest_skips_blank_lines(tmp_path):
     assert sample.n == 2
 
 
+def test_ingest_accepts_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes("x,y\n0.1,0.2\n0.3,0.4\n".encode("utf-8-sig"))
+    sample = ingest_csv(str(path))
+    assert sample.xs.tolist() == [0.1, 0.3]
+    assert sample.ys.tolist() == [0.2, 0.4]
+
+
+def test_ingest_reports_undecodable_bytes_as_parse_error(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"x,y\n0.1,0.2\n0.3,0.4\n0.5,\xe90\n")
+    with pytest.raises(ParseError) as err:
+        ingest_csv(str(path))
+    assert err.value.line == 4
+    assert "UTF-8" in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # Band commands
 # ---------------------------------------------------------------------------
@@ -230,6 +247,22 @@ def test_out_of_range_values_exit_one_without_traceback(tmp_path, capsys, argv):
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["bands", "--input", "{tmp}/missing.csv", "--output", "{tmp}/out.csv"],
+    ["bands", "--input", "{tmp}", "--output", "{tmp}/out.csv"],
+    ["simulate", "--model", "m1", "--n", "20", "--output", "{tmp}/no/such/dir/o.csv"],
+    ["bands", "--model", "m1", "--n", "200", "--x-grid=-0.5:0.5:3",
+     "--output", "{tmp}/no/such/dir/o.csv"],
+], ids=["input-missing", "input-directory", "simulate-output-dir-missing",
+        "bands-output-dir-missing"])
+def test_file_errors_exit_one_without_traceback(tmp_path, capsys, argv):
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +519,41 @@ def test_console_script_smoke(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: condbands")
     assert "simulate" in proc.stdout
+
+
+# Run in a child: the test modules import scipy themselves.
+SCIPY_ONLY_FOR_QUADRATURE = """
+import json, sys
+import condbands, condbands.cli as cli
+
+tmp = sys.argv[1]
+codes = [cli.main(argv) for argv in (
+    ["simulate", "--model", "m1", "--n", "200", "--output", tmp + "/s.csv"],
+    ["bands", "--input", tmp + "/s.csv", "--x-grid=-0.5:0.5:3", "--output", tmp + "/b.csv"],
+    ["regression", "--input", tmp + "/s.csv", "--y-range", "0:1", "--x-grid=-0.5:0.5:3",
+     "--output", tmp + "/r.csv"],
+    ["experiment", "sup", "--model", "m2", "--n-list", "150", "--reps", "2",
+     "--x-grid=-0.5:0.5:3", "--output", tmp + "/sup.json"],
+)]
+before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+bochner = cli.main(["experiment", "bochner", "--model", "m1", "--h-list", "0.4,0.1",
+                    "--output", tmp + "/boch.json"])
+print(json.dumps({"codes": codes, "before": before, "bochner": bochner,
+                  "after": "scipy" in sys.modules}))
+"""
+
+
+def test_scipy_is_imported_only_by_adaptive_quadrature(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_ONLY_FOR_QUADRATURE, str(tmp_path)],
+        capture_output=True, text=True, env=CHILD_ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["codes"] == [0, 0, 0, 0]
+    assert doc["before"] == []
+    assert doc["bochner"] == 0
+    assert doc["after"]
 
 
 @pytest.mark.skipif(shutil.which("condbands") is None,
