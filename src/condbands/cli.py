@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 
 import numpy as np
@@ -518,7 +519,24 @@ _COMMANDS = {
 }
 
 
+def _check_outputs(config: argparse.Namespace) -> None:
+    """Fail before any work if an output cannot be opened for lack of its directory.
+
+    Nothing is created or truncated here; the command opens its outputs
+    only once their contents are computed.
+    """
+    for path in (config.output, getattr(config, "svg", None)):
+        if path is None:
+            continue
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            raise CondBandsError(f"output directory {folder!r} of {path!r} does not exist")
+        if os.path.isdir(path):
+            raise CondBandsError(f"output {path!r} is a directory")
+
+
 def run(config: argparse.Namespace) -> int:
+    _check_outputs(config)
     return _COMMANDS[config.command](config)
 
 

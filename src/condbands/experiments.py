@@ -9,7 +9,10 @@ Two reference curves are available when measuring deviations:
   sample, that is, the order-p fit's weights on fixed quadrature nodes z
   applied to the true F(t | z).
 
-Limit comparisons use the centering reference.  Replication r of an
+Limit comparisons use the centering reference.  The centering does not
+depend on the sample, so an experiment builds each location's centering
+once, the first time a replication keeps that location, and evaluates it
+at every later replication's jump points.  Replication r of an
 experiment seeded with s draws from the child stream (s, spawn_key=r),
 and the replications run in order on the calling thread.  The
 experiments' ``workers`` argument is accepted for compatibility: it must
@@ -33,7 +36,8 @@ from .estimator import EstimatorConfig, Sample, _power_sums, _weight_vector
 from .bands import fit_grid
 from .kernels import Kernel
 from .simulation import (
-    SimModel, cdf_kinks, draw, marginal_density, true_cdf, true_cdf_grid, weighted_cdf,
+    SimModel, cdf_kinks, draw, marginal_density, prepare_weighted_cdf, true_cdf,
+    true_cdf_grid,
 )
 
 __all__ = [
@@ -148,20 +152,16 @@ def _gl_nodes(support) -> tuple[np.ndarray, np.ndarray]:
     return mid + half * u, half * w
 
 
-def _references(model, x, ts, kernel, h, references):
-    """Each reference curve at x over ``ts``, keyed as in ``references``.
+def _centering(model, x, kernel, h, orders):
+    """The centering of each order p in ``orders`` at x, as a function of t.
 
-    None is the true F(t | x): the one-row true-cdf matrix at x, which is
-    the value :func:`true_cdf` gives.  p is the centering of order p, the
-    order-p local fit applied to the population law: its weights c_p sit
-    on the quadrature nodes z_k = x - h u_k, whose masses are
-    gw_k K(u_k) f_X(z_k), and it is sum_k c_p,k F(t | z_k).  One call of
-    :func:`weighted_cdf` gives every order's centering.
+    The order-p centering is the order-p local fit applied to the
+    population law: its weights c_p sit on the quadrature nodes
+    z_k = x - h u_k, whose masses are gw_k K(u_k) f_X(z_k), and it is
+    sum_k c_p,k F(t | z_k).  Nothing here depends on a sample, so an
+    experiment builds it once per location.  The function returned gives,
+    at response points ``ts``, one row per entry of ``orders``.
     """
-    refs = {None: true_cdf_grid(model, [x], ts)[0]} if None in references else {}
-    orders = [r for r in references if r is not None]
-    if not orders:
-        return refs
     u, gw = _gl_nodes(kernel.support)
     z = x - h * u
     mass = gw * kernel.eval(u) * marginal_density(model, z)
@@ -173,8 +173,7 @@ def _references(model, x, ts, kernel, h, references):
     mass = mass / total
     sums = _power_sums(u, mass, 2 * max(orders))
     weights = [_weight_vector(u, mass, 1.0, p, sums) for p in orders]
-    refs.update(zip(orders, weighted_cdf(model, z, weights, ts)))
-    return refs
+    return prepare_weighted_cdf(model, z, weights)
 
 
 def centering_curve(
@@ -195,7 +194,7 @@ def centering_curve(
     order = _centering_order(order)
     if not 0.0 < h < 1.0:
         raise InvalidBandwidth(f"bandwidth must lie in (0, 1), got {h!r}")
-    return _references(model, x, np.asarray(ts, dtype=float), kernel, h, (order,))[order]
+    return _centering(model, x, kernel, h, (order,))(ts)[0]
 
 
 def _centering_order(order):
@@ -232,30 +231,43 @@ def band_normalized_sup(deviations, halfwidths) -> float:
     return float((dev / half).max())
 
 
-def _location_deviations(sample, model, cfg, x_grid, references):
+def _location_deviations(sample, model, cfg, x_grid, references, centerings):
     """Per-location sup deviations from each reference, and half-widths.
 
     Each location is fitted once and its curve compared with every entry of
     ``references``: None for the truth, p for the order-p centering.  Row i
     of the returned deviations belongs to ``references[i]``.  Degenerate
-    locations are skipped and counted.
+    locations are skipped and counted.  ``centerings`` is the memo of
+    :func:`_deviations`.
     """
     def deviations(x, fit, half):
         curve = fit.curve(sample, monotonize=False)
-        return _deviations(model, cfg, x, [curve] * len(references), references), half
+        return _deviations(model, cfg, x, [curve] * len(references), references, centerings), half
 
     kept, skipped = fit_grid(sample, x_grid, cfg, deviations)
     devs, halves = zip(*kept)
     return np.array(devs).T, np.array(halves), len(skipped)
 
 
-def _deviations(model, cfg, x, curves, references):
+def _deviations(model, cfg, x, curves, references, centerings):
     """Sup over t of |curve - reference| at ``x`` for each pair of curve and reference.
 
-    The curves come from one kernel window, so they share their jump
-    points, and one call of :func:`_references` serves every reference.
+    None is the true F(t | x): the one-row true-cdf matrix at x, which is
+    the value :func:`true_cdf` gives.  p is the order-p centering.  The
+    curves come from one kernel window, so they share their jump points,
+    and one evaluation of the location's centering serves every order.
+    ``centerings`` maps (x, orders) to that centering; an experiment keeps
+    one such memo over all its replications, so it builds each location's
+    centering once, at the first replication that keeps the location.
     """
-    refs = _references(model, x, curves[0].jump_ts, cfg.kernel, cfg.bandwidth, references)
+    ts = curves[0].jump_ts
+    refs = {None: true_cdf_grid(model, [x], ts)[0]} if None in references else {}
+    orders = tuple(r for r in references if r is not None)
+    if orders:
+        key = (x, orders)
+        if key not in centerings:
+            centerings[key] = _centering(model, x, cfg.kernel, cfg.bandwidth, orders)
+        refs.update(zip(orders, centerings[key](ts)))
     return [step_sup_deviation(c.values, refs[r]) for c, r in zip(curves, references)]
 
 
@@ -275,7 +287,7 @@ def sup_deviation_statistic(
     if reference not in ("true", "centering"):
         raise ValueError(f'reference must be "true" or "centering", got {reference!r}')
     ref = None if reference == "true" else _centering_order(cfg.order)
-    (devs,), halves, _ = _location_deviations(sample, model, cfg, _as_grid(x_grid), (ref,))
+    (devs,), halves, _ = _location_deviations(sample, model, cfg, _as_grid(x_grid), (ref,), {})
     return band_normalized_sup(devs, halves)
 
 
@@ -293,7 +305,7 @@ def normalized_sup_statistic(
     """
     use_cfg = cfg if order is None else replace(cfg, order=order)
     refs = (_centering_order(use_cfg.order),)
-    (devs,), _, _ = _location_deviations(sample, model, use_cfg, _as_grid(x_grid), refs)
+    (devs,), _, _ = _location_deviations(sample, model, use_cfg, _as_grid(x_grid), refs, {})
     return _sup_scale(sample.n, cfg.bandwidth) * float(devs.max())
 
 
@@ -401,10 +413,11 @@ def sup_experiment(
     _check_experiment_args(n, reps, workers)
     references = (None, _centering_order(cfg.order))
     grid = _as_grid(x_grid)
+    centerings = {}
 
     def stat(sample):
         (d_tot, d_sto), halves, skipped = _location_deviations(
-            sample, model, cfg, grid, references
+            sample, model, cfg, grid, references, centerings
         )
         return band_normalized_sup(d_tot, halves), band_normalized_sup(d_sto, halves), skipped
 
@@ -448,7 +461,7 @@ def coverage_experiment(
     grid = _as_grid(x_grid)
 
     def stat(sample):
-        (devs,), halves, skipped = _location_deviations(sample, model, cfg, grid, (None,))
+        (devs,), halves, skipped = _location_deviations(sample, model, cfg, grid, (None,), {})
         return band_normalized_sup(devs, halves), skipped
 
     lams, skipped = _replicate(model, n, reps, seed, stat)
@@ -558,6 +571,7 @@ def em_constant_experiment(
     grid = _as_grid(x_grid, (a, b))
     inf_fx = float(marginal_density(model, np.linspace(a, b, 2049)).min())
     theta = math.sqrt(cfg.kernel.l2_norm_sq) / math.sqrt(2.0 * inf_fx)
+    centerings = {}
 
     def stat(sample):
         def deviations(x, fit, half):
@@ -567,7 +581,7 @@ def em_constant_experiment(
             curves = [fit.curve(sample, monotonize=False)]
             with suppress(InsufficientLocalData):
                 curves.append(fit.at_order(1).curve(sample, monotonize=False))
-            return _deviations(model, cfg, x, curves, (0, 1)[: len(curves)])
+            return _deviations(model, cfg, x, curves, (0, 1)[: len(curves)], centerings)
 
         kept, skipped = fit_grid(sample, grid, replace(cfg, order=0), deviations)
         devs1 = [d[1] for d in kept if len(d) == 2]

@@ -40,6 +40,7 @@ __all__ = [
     "true_cdf",
     "true_cdf_grid",
     "weighted_cdf",
+    "prepare_weighted_cdf",
     "cdf_kinks",
     "true_quantile",
     "true_regression",
@@ -117,17 +118,29 @@ def weighted_cdf(model: SimModel, zs, weights, ts) -> np.ndarray:
     """Weighted sums of F(t | z) over the nodes ``zs``: ``weights @ true_cdf_grid(model, zs, ts)``.
 
     ``weights`` holds one row of node weights per sum, so the result has
-    shape (len(weights), len(ts)).  m2's cdf is [t >= 0] where |z| <= |t|
-    and (t + |z|) / (2 |z|) = 1/2 + t / (2 |z|) where |z| > |t|, so its
-    sums need only the nodes sorted by |z|, running sums of w and of
-    w / |z|, and one ``searchsorted`` of |t|: O((K + T) log K) for K nodes
-    and T points instead of the K x T matrix.
+    shape (len(weights), len(ts)).  It is
+    ``prepare_weighted_cdf(model, zs, weights)(ts)``.
+    """
+    return prepare_weighted_cdf(model, zs, weights)(ts)
+
+
+def prepare_weighted_cdf(model: SimModel, zs, weights):
+    """:func:`weighted_cdf` over fixed nodes and weights, as a function of ``ts``.
+
+    Everything that does not depend on ``ts`` is done here, once; the
+    function returned mutates nothing, so it may be evaluated at any number
+    of response-point arrays.  m1 keeps the nodes and weights for one
+    nodes x points matrix per evaluation.  m2's cdf is [t >= 0] where
+    |z| <= |t| and (t + |z|) / (2 |z|) = 1/2 + t / (2 |z|) where |z| > |t|,
+    so its sums need only the nodes sorted by |z|, running sums of w and of
+    w / |z|, and one ``searchsorted`` of |t| per evaluation: O(K log K)
+    here and O(T log K) per evaluation for K nodes and T points, instead of
+    the K x T matrix.
     """
     zs = np.asarray(zs, dtype=float)
-    ts = np.asarray(ts, dtype=float)
     weights = np.asarray(weights, dtype=float)
     if model.kind == "m1":
-        return weights @ true_cdf_grid(model, zs, ts)
+        return lambda ts: weights @ true_cdf_grid(model, zs, np.asarray(ts, dtype=float))
     order = np.argsort(-np.abs(zs))
     az = np.abs(zs)[order]
     w = weights[:, order]
@@ -137,9 +150,16 @@ def weighted_cdf(model: SimModel, zs, weights, ts) -> np.ndarray:
     p = len(w)
     sums = np.zeros((2 * p, az.size + 1))
     np.cumsum(np.concatenate((w, w / np.where(az > 0.0, az, np.inf))), axis=1, out=sums[:, 1:])
-    above = sums.take(np.searchsorted(-az, -np.abs(ts)), axis=1)  # sums over |z| > |t|
-    above_w = above[:p]
-    return 0.5 * (above_w + ts * above[p:]) + (ts >= 0.0) * (sums[:p, -1:] - above_w)
+    totals = sums[:p, -1:]
+    neg_az = -az
+
+    def at(ts):
+        ts = np.asarray(ts, dtype=float)
+        above = sums.take(np.searchsorted(neg_az, -np.abs(ts)), axis=1)  # sums over |z| > |t|
+        above_w = above[:p]
+        return 0.5 * (above_w + ts * above[p:]) + (ts >= 0.0) * (totals - above_w)
+
+    return at
 
 
 def cdf_kinks(model: SimModel, t: float) -> tuple[float, ...]:

@@ -265,6 +265,38 @@ def test_file_errors_exit_one_without_traceback(tmp_path, capsys, argv):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "m1", "--output", "{tmp}/missing/o.csv"],
+    ["bands", "--model", "m1", "--output", "{tmp}/missing/o.csv"],
+    ["bands", "--input", "{tmp}/in.csv", "--output", "{tmp}/missing/o.csv"],
+    ["regression", "--model", "m1", "--y-range", "0:1", "--output", "{tmp}/missing/o.csv"],
+    ["quantile", "--model", "m1", "--output", "{tmp}/missing/o.csv"],
+    ["plotdata", "--model", "m1", "--output", "{tmp}/missing/o.csv"],
+    ["plotdata", "--model", "m1", "--svg", "{tmp}/missing/p.svg", "--output", "{tmp}/keep.csv"],
+    ["experiment", "sup", "--model", "m1", "--reps", "2", "--output", "{tmp}/missing/dir/r.json"],
+    ["experiment", "em-constant", "--model", "m1", "--reps", "2",
+     "--output", "{tmp}/missing/r.json"],
+    ["bands", "--model", "m1", "--output", "{tmp}"],
+], ids=["simulate", "bands", "bands-input", "regression", "quantile", "plotdata", "plotdata-svg",
+        "experiment-sup", "experiment-em-constant", "output-is-directory"])
+def test_bad_output_paths_fail_before_any_sampling(tmp_path, capsys, monkeypatch, argv):
+    # no draw, no ingest and no replication runs, and no file is created
+    # or truncated
+    work = []
+    monkeypatch.setattr(condbands.cli, "draw", lambda *a: work.append("draw"))
+    monkeypatch.setattr(condbands.cli, "ingest_csv", lambda *a: work.append("ingest"))
+    monkeypatch.setattr(condbands.experiments, "draw", lambda *a: work.append("replication"))
+    (tmp_path / "in.csv").write_text("x,y\n0.1,0.2\n")
+    keep = tmp_path / "keep.csv"
+    keep.write_text("kept\n")
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert work == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", "keep.csv"]
+    assert keep.read_text() == "kept\n"
+
+
 # ---------------------------------------------------------------------------
 # Experiments and plot data
 # ---------------------------------------------------------------------------

@@ -215,30 +215,78 @@ def test_sup_statistic_reference_validation():
         sup_deviation_statistic(sample, M1, cfg(), [50.0], reference="oracle")
 
 
+def _recomputed_sups(model, sample, c, grid, order):
+    """Sup over the grid of each location's deviations from the truth and
+    from the order-``order`` centering, over the half-width, recomputed
+    location by location with the public functions."""
+    truth, centering = [], []
+    for x in grid:
+        curve = cdf_curve(sample, x, c, monotonize=False)
+        half = band_halfwidth(sample, x, c)
+        truth.append(step_sup_deviation(curve.values, true_cdf(model, x, curve.jump_ts)) / half)
+        refs = centering_curve(model, x, curve.jump_ts, c.kernel, c.bandwidth, order)
+        centering.append(step_sup_deviation(curve.values, refs) / half)
+    return max(truth), max(centering)
+
+
 @pytest.mark.parametrize("model", [M1, M2], ids=["m1", "m2"])
 @pytest.mark.parametrize("order", [0, 1])
 def test_sup_statistic_equals_a_per_location_recomputation(model, order):
     # each location's references, also where sup_experiment asks for both at
-    # once, must be the values the public functions give location by
-    # location; in the uniform case, m1's truth at x = 1 read from a
-    # many-row matrix is 1 ulp away from true_cdf and moves the total error
+    # once and reuses its centerings over replications, must be the values
+    # the public functions give location by location; in the uniform case,
+    # m1's truth at x = 1 read from a many-row matrix is 1 ulp away from
+    # true_cdf and moves the total error
     grid = np.linspace(-1.0, 1.0, 7)
+    reps = 3
     for kernel, n, seed in ((EPA, 400, 21), (UNI, 150, 40)):
-        sample = draw(model, n, np.random.SeedSequence(seed, spawn_key=(0,)))
         c = cfg(kernel, h=reference_bandwidth(n), order=order)
-        truth, centering = [], []
-        for x in grid:
-            curve = cdf_curve(sample, x, c, monotonize=False)
-            half = band_halfwidth(sample, x, c)
-            truth.append(step_sup_deviation(curve.values, true_cdf(model, x, curve.jump_ts)) / half)
-            refs = centering_curve(model, x, curve.jump_ts, c.kernel, c.bandwidth, order)
-            centering.append(step_sup_deviation(curve.values, refs) / half)
-        assert sup_deviation_statistic(sample, model, c, grid, "true") == max(truth)
-        stoch = sup_deviation_statistic(sample, model, c, grid, "centering")
-        assert stoch == pytest.approx(max(centering), rel=0, abs=1e-12)
-        summary = sup_experiment(model, n, 1, c, grid, seed=seed).summaries[0]
-        assert summary["total_error"]["median"] == max(truth)
-        assert summary["stochastic_error"]["median"] == pytest.approx(max(centering), rel=0, abs=1e-12)
+        totals, stochs = [], []
+        for r in range(reps):
+            sample = draw(model, n, np.random.SeedSequence(seed, spawn_key=(r,)))
+            total, stoch = _recomputed_sups(model, sample, c, grid, order)
+            assert sup_deviation_statistic(sample, model, c, grid, "true") == total
+            assert sup_deviation_statistic(sample, model, c, grid, "centering") == stoch
+            totals.append(total)
+            stochs.append(stoch)
+        summary = sup_experiment(model, n, reps, c, grid, seed=seed).summaries[0]
+        assert summary["total_error"] == condbands.experiments._stats(np.array(totals))
+        assert summary["stochastic_error"] == condbands.experiments._stats(np.array(stochs))
+
+
+@pytest.mark.parametrize("model", [M1, M2], ids=["m1", "m2"])
+def test_em_constant_equals_a_per_location_recomputation(model):
+    # em-constant's order-0 and order-1 statistics, with each location's
+    # centerings built once and reused over replications, must equal a
+    # recomputation of every replication location by location, with the
+    # centerings built afresh each time; both orders come from one build,
+    # as in the experiment, since m1's sums over two weight rows can differ
+    # in the last bit from those over one
+    grid = np.linspace(-1.0, 1.0, 7)
+    reps = 3
+    for kernel, n, seed in ((EPA, 400, 21), (UNI, 150, 40)):
+        h = reference_bandwidth(n)
+        scale = math.sqrt(n * h / math.log(1.0 / h))
+        stats = {0: [], 1: []}
+        for r in range(reps):
+            sample = draw(model, n, np.random.SeedSequence(seed, spawn_key=(r,)))
+            devs = {0: [], 1: []}
+            for x in grid:
+                curves = [
+                    cdf_curve(sample, x, cfg(kernel, h=h, order=p), monotonize=False)
+                    for p in (0, 1)
+                ]
+                centering = condbands.experiments._centering(model, x, kernel, h, (0, 1))
+                refs = centering(curves[0].jump_ts)
+                for p in (0, 1):
+                    devs[p].append(step_sup_deviation(curves[p].values, refs[p]))
+            for p in (0, 1):
+                stats[p].append(scale * max(devs[p]))
+        report = em_constant_experiment(model, n, reps, cfg(kernel, h=h), x_grid=grid, seed=seed)
+        summary = report.summaries[0]
+        assert summary["skipped_locations"] == 0
+        assert summary["order0"] == condbands.experiments._stats(np.array(stats[0]))
+        assert summary["order1"] == condbands.experiments._stats(np.array(stats[1]))
 
 
 def test_normalized_sup_statistic_positive():
@@ -338,25 +386,50 @@ def test_sup_experiment_report():
 
 def test_sup_experiment_fits_each_location_once():
     # one kernel pass per location and replication serves both references;
-    # the centering curve adds one pass over its quadrature nodes
+    # each location's centering adds one pass over its quadrature nodes, once
+    # per experiment, not once per replication
     n, reps = 300, 3
     kernel, calls = counting_kernel(EPA)
     c = EstimatorConfig(kernel=kernel, bandwidth=reference_bandwidth(n), order=1)
     grid = np.linspace(-1.0, 1.0, 9)
     sup_experiment(M1, n, reps, c, grid, seed=4)
-    assert len(calls) == 2 * reps * grid.size
+    assert len(calls) == (reps + 1) * grid.size
 
 
 def test_em_constant_fits_each_location_once():
     # the order-0 and order-1 fits share one kernel pass per location and
     # replication, and both orders' centerings share one more pass over the
-    # quadrature nodes
+    # quadrature nodes, once per location and experiment
     n, reps = 300, 3
     kernel, calls = counting_kernel(EPA)
     c = EstimatorConfig(kernel=kernel, bandwidth=reference_bandwidth(n), order=1)
     grid = np.linspace(-1.0, 1.0, 9)
     em_constant_experiment(M1, n, reps, c, x_grid=grid, seed=4)
-    assert len(calls) == 2 * reps * grid.size
+    assert len(calls) == (reps + 1) * grid.size
+
+
+def test_a_location_skipped_in_every_replication_builds_no_centering(monkeypatch):
+    # +-6 lies outside every window; the kept locations build their
+    # centering once, at the first replication, whatever the count
+    built = []
+    real = condbands.experiments._centering
+
+    def recording(model, x, kernel, h, orders):
+        built.append((float(x), orders))
+        return real(model, x, kernel, h, orders)
+
+    monkeypatch.setattr(condbands.experiments, "_centering", recording)
+    c = cfg(h=reference_bandwidth(200))
+    grid = [-6.0, 0.0, 0.5, 6.0]
+    sup = sup_experiment(M1, 200, 3, c, grid, seed=1)
+    assert sup.summaries[0]["skipped_locations"] == 2 * 3
+    assert built == [(0.0, (1,)), (0.5, (1,))]
+    built.clear()
+    em_constant_experiment(M1, 200, 3, c, x_grid=grid, seed=1)
+    assert built == [(0.0, (0, 1)), (0.5, (0, 1))]
+    built.clear()
+    coverage_experiment(M1, 200, 3, 0.5, c, grid, seed=1)
+    assert built == []
 
 
 def test_one_true_cdf_matrix_per_location(monkeypatch):
@@ -467,7 +540,8 @@ def test_replications_run_on_the_calling_thread_at_any_worker_count():
             assert calls, kind
             assert {thread for thread, _ in calls} == {threading.get_ident()}, kind
             if kind == "sup":
-                assert len(calls) == 2 * 4 * grid.size  # a fit and a centering curve per location
+                # a fit per location and replication, a centering per location
+                assert len(calls) == (4 + 1) * grid.size
         assert reports[0] == reports[1], kind
 
 

@@ -19,7 +19,7 @@ from condbands import (
     true_regression,
 )
 from condbands.experiments import _gl_nodes
-from condbands.simulation import weighted_cdf
+from condbands.simulation import prepare_weighted_cdf, weighted_cdf
 
 M1 = sim_model("m1")
 M2 = sim_model("m2")
@@ -132,6 +132,26 @@ def test_weighted_cdf_is_the_weighted_sum_of_grid_rows(kind, support, rows):
     scale = np.abs(weights).sum(axis=1, keepdims=True)
     assert np.all(np.abs(got - want) <= 1e-14 * scale)
     assert weighted_cdf(model, zs, weights, []).shape == (rows, 0)
+
+
+@pytest.mark.parametrize("kind", ["m1", "m2"])
+def test_prepared_weighted_cdf_is_weighted_cdf_at_every_evaluation(kind):
+    # one prepared node set, evaluated at several response-point arrays in
+    # turn, gives weighted_cdf's bits each time: evaluation mutates nothing
+    model = sim_model(kind)
+    u, _ = _gl_nodes((-1.0, 1.0))
+    zs = np.concatenate((0.2 - 0.3 * u, [0.0, 0.35]))
+    weights = np.random.default_rng(3).standard_normal((2, zs.size))
+    zs_before, weights_before = zs.copy(), weights.copy()
+    ts = np.concatenate(([0.0, -0.0, -0.35, 0.35, -40.0, 40.0], np.linspace(-1.5, 1.5, 31)))
+    prepared = prepare_weighted_cdf(model, zs, weights)
+    for points in (ts, np.array([]), ts[::-1], [0.35, -0.2], ts[:3], ts):
+        got = prepared(points)
+        want = weighted_cdf(model, zs, weights, points)
+        assert got.shape == (2, len(points))
+        assert got.tobytes() == want.tobytes()
+    assert prepared(ts).tobytes() == weighted_cdf(model, zs_before, weights_before, ts).tobytes()
+    assert zs.tobytes() == zs_before.tobytes() and weights.tobytes() == weights_before.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["m1", "m2"])
