@@ -255,12 +255,23 @@ def cdf_band(
             raise ValueError("t_grid must not be empty")
         if np.isnan(t_grid).any():
             raise ValueError("t_grid must not contain NaN")
+        # Y_i <= t_(j) exactly when j >= bins[i], for the j-th smallest t, so
+        # the estimate at t_(j) is the window weight binned at 0..j; no curve
+        t_order = np.argsort(t_grid, kind="stable")
+        t_rank = np.empty(t_grid.size, dtype=np.intp)
+        t_rank[t_order] = np.arange(t_grid.size)
+        bins = np.searchsorted(t_grid[t_order], sample.ys, side="left")
 
     def block(x, fit, half_l):
-        curve = fit.curve(sample, monotonize=False)
         half = (1.0 + epsilon) * half_l
-        t_here = curve.jump_ts if use_jumps else t_grid
-        e_here = curve.value_at(t_here)
+        if use_jumps:
+            curve = fit.curve(sample, monotonize=False)
+            t_here, e_here = curve.jump_ts, curve.values
+        else:
+            binned = np.bincount(
+                bins[fit.window.index], fit.window_weights, minlength=t_grid.size + 1
+            )
+            t_here, e_here = t_grid, np.cumsum(binned[:-1])[t_rank]
         lo_here = e_here - half
         up_here = e_here + half
         if clip:
@@ -320,15 +331,17 @@ def quantile_band(
     """Quantile band q_hat(x) +/- 2 * L(x) * fx / fxy.
 
     ``densities(x, q)`` supplies the marginal/joint density pair at the
-    estimated quantile.  Inversion uses the monotonized curve unless
-    ``use_raw_curve`` is set.
+    estimated quantile.  For alpha in (0, 1) the first point where the raw
+    curve reaches alpha is the first where its monotonized form (running
+    maximum clipped to [0, 1]) does, so the raw curve is inverted either
+    way; ``use_raw_curve`` is only recorded in the metadata.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     sources = []
 
     def row(x, fit, half_l):
-        q = quantile_estimate(fit.curve(sample, monotonize=not use_raw_curve), alpha)
+        q = quantile_estimate(fit.curve(sample, monotonize=False), alpha)
         pair = densities(float(x), q)
         if not pair.fx > 0.0:
             raise ZeroJointDensity(

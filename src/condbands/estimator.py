@@ -210,18 +210,26 @@ class LocalWeights:
         which is the form the band theory applies to.
         """
         index = self.window.index
+        m = index.size
         # by response, ties by sample index: a stable sort of ys[index] when
         # index is increasing, whatever order index is in
         order = np.argsort(sample.y_rank[index])
-        ymin, ymax = sample.y_range
-        ys_ext = np.concatenate(([ymin], sample.ys[index[order]], [ymax]))
+        ys_ext = np.empty(m + 2)
+        ys_ext[0], ys_ext[-1] = sample.y_range
+        np.take(sample.ys, index[order], out=ys_ext[1:-1])
         # weight up to each entry of ys_ext: none at ymin, all of it at ymax
-        cum = np.cumsum(np.concatenate(([0.0], self.window_weights[order], [0.0])))
+        cum = np.empty(m + 2)
+        cum[0] = cum[-1] = 0.0
+        np.take(self.window_weights, order, out=cum[1:-1])
+        np.cumsum(cum, out=cum)
         # the curve jumps at each distinct value, to the weight up to its last entry
-        last = np.flatnonzero(np.append(ys_ext[1:] != ys_ext[:-1], True))
+        last = np.empty(m + 2, dtype=bool)
+        np.not_equal(ys_ext[1:], ys_ext[:-1], out=last[:-1])
+        last[-1] = True
         jump_ts, values = ys_ext[last], cum[last]
         if monotonize:
-            values = np.clip(np.maximum.accumulate(values), 0.0, 1.0)
+            np.maximum.accumulate(values, out=values)
+            np.clip(values, 0.0, 1.0, out=values)
         return CdfCurve(
             x=self.x,
             jump_ts=jump_ts,

@@ -130,7 +130,9 @@ def prepare_weighted_cdf(model: SimModel, zs, weights):
     Everything that does not depend on ``ts`` is done here, once; the
     function returned mutates nothing, so it may be evaluated at any number
     of response-point arrays.  m1 keeps the nodes and weights for one
-    nodes x points matrix per evaluation.  m2's cdf is [t >= 0] where
+    nodes x points matrix per evaluation, and takes each row as its own
+    one-row product with it: a many-row product may round differently, so a
+    row's bits would depend on the other rows.  m2's cdf is [t >= 0] where
     |z| <= |t| and (t + |z|) / (2 |z|) = 1/2 + t / (2 |z|) where |z| > |t|,
     so its sums need only the nodes sorted by |z|, running sums of w and of
     w / |z|, and one ``searchsorted`` of |t| per evaluation: O(K log K)
@@ -140,7 +142,14 @@ def prepare_weighted_cdf(model: SimModel, zs, weights):
     zs = np.asarray(zs, dtype=float)
     weights = np.asarray(weights, dtype=float)
     if model.kind == "m1":
-        return lambda ts: weights @ true_cdf_grid(model, zs, np.asarray(ts, dtype=float))
+        def at_m1(ts):
+            grid = true_cdf_grid(model, zs, np.asarray(ts, dtype=float))
+            out = np.empty((len(weights), grid.shape[1]))
+            for i in range(len(weights)):
+                out[i] = weights[i : i + 1] @ grid
+            return out
+
+        return at_m1
     order = np.argsort(-np.abs(zs))
     az = np.abs(zs)[order]
     w = weights[:, order]

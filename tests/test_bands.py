@@ -13,6 +13,7 @@ from condbands import (
     EstimatorConfig,
     InsufficientLocalData,
     InvalidBandwidth,
+    LocalWeights,
     Sample,
     YRangeViolation,
     ZeroJointDensity,
@@ -23,12 +24,14 @@ from condbands import (
     density_plugin,
     draw,
     get_kernel,
+    local_weights,
     oracle_density_provider,
     quantile_band,
     reference_bandwidth,
     regression_band,
     sim_model,
 )
+from condbands.cli import main
 
 EPA = get_kernel("epanechnikov")
 UNI = get_kernel("uniform")
@@ -116,6 +119,73 @@ def test_cdf_band_explicit_t_grid_matches_curve():
     curve = cdf_curve(sample, 0.2, c, monotonize=False)
     assert np.allclose(table.estimate, curve.value_at(ts), atol=1e-14)
     assert np.allclose(table.t, ts)
+
+
+def _tied_sample(n, seed):
+    """An m1 sample whose responses repeat: rounded to two decimals."""
+    s = draw(M1, n, seed)
+    return Sample(xs=s.xs, ys=np.round(s.ys, 2))
+
+
+# unsorted, with repeats, signed zeros, points below the smallest and above the
+# largest response, responses themselves and both infinities
+EDGE_TS = np.array([0.5, 0.25, -0.0, 0.0, -0.3, 1.7, np.inf, 0.5, -np.inf, 0.99, 0.0, 0.01])
+
+
+@pytest.mark.parametrize("name", ["epanechnikov", "uniform", "gaussian"])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_cdf_band_explicit_grid_matches_the_curve(name, order):
+    # every estimate equals the raw curve read back at t, at every location
+    # kept; a location without data (x = 50) is skipped as with "jumps"
+    sample = _tied_sample(400, 19)
+    ts = np.concatenate((EDGE_TS, sample.ys[:6], [sample.y_range[0], sample.y_range[1]]))
+    c = cfg(kernel=get_kernel(name), h=0.35, order=order)
+    grid = [-1.0, 50.0, 0.0, 0.3, 1.2]
+    table = cdf_band(sample, grid, ts, c, epsilon=0.25, clip=False)
+    jumps = cdf_band(sample, grid, "jumps", c, epsilon=0.25, clip=False)
+    kept = [x for x in grid if x not in jumps.metadata["skipped_locations"]]
+    assert table.metadata["skipped_locations"] == jumps.metadata["skipped_locations"]
+    if name != "gaussian":
+        assert table.metadata["skipped_locations"] == [50.0]
+    assert table.x.tobytes() == np.repeat(kept, ts.size).tobytes()
+    assert table.t.tobytes() == np.tile(ts, len(kept)).tobytes()
+    for i, x in enumerate(kept):
+        rows = slice(i * ts.size, (i + 1) * ts.size)
+        fit = local_weights(sample, x, c)
+        want = fit.curve(sample, monotonize=False).value_at(ts)
+        assert np.all(np.abs(table.estimate[rows] - want) <= 1e-13)
+        half = jumps.halfwidth[jumps.x == x][0]
+        assert np.all(table.halfwidth[rows] == half)
+        assert table.estimate[rows][ts == -np.inf].tolist() == [0.0]
+        assert table.estimate[rows][ts < sample.y_range[0]].tolist() == [0.0, 0.0]
+    assert table.estimate[table.t == 0.0].tobytes() == table.estimate[table.t == -0.0].tobytes()
+
+
+def test_cdf_band_explicit_grid_builds_no_curve(monkeypatch):
+    # explicit grids bin the responses once per call and sum the window's
+    # weights per bin; only "jumps" needs the sorted step curve
+    sample = draw(M1, 300, 23)
+
+    def no_curve(*args, **kwargs):
+        raise AssertionError("LocalWeights.curve called")
+
+    monkeypatch.setattr(LocalWeights, "curve", no_curve)
+    table = cdf_band(sample, np.linspace(-1.0, 1.0, 5), EDGE_TS, cfg(), epsilon=0.5)
+    assert len(table) == 5 * EDGE_TS.size
+    with pytest.raises(AssertionError, match="LocalWeights.curve called"):
+        cdf_band(sample, [0.0], "jumps", cfg())
+
+
+def test_plotdata_default_grid_builds_no_curve(tmp_path, monkeypatch):
+    def no_curve(*args, **kwargs):
+        raise AssertionError("LocalWeights.curve called")
+
+    monkeypatch.setattr(LocalWeights, "curve", no_curve)
+    out = tmp_path / "plot.csv"
+    assert main(["plotdata", "--model", "m1", "--n", "200", "--x-grid=-0.5:0.5:3",
+                 "--output", str(out)]) == 0
+    # 3 locations x 101 points x (estimate, lower, upper, truth)
+    assert len(out.read_text().strip().splitlines()) == 1 + 3 * 101 * 4
 
 
 def test_cdf_band_skips_empty_windows():
@@ -270,6 +340,27 @@ def test_quantile_band_halfwidth_formula():
     assert t1.halfwidth[0] == pytest.approx(2.0 * l_val, rel=1e-14)
     assert t2.halfwidth[0] == pytest.approx(l_val, rel=1e-14)
     assert t1.estimate[0] == t2.estimate[0]
+
+
+@pytest.mark.parametrize("name", ["epanechnikov", "uniform", "gaussian"])
+def test_quantile_band_raw_curve_setting_changes_no_quantile(name):
+    # for alpha in (0, 1) the raw curve first reaches alpha where its running
+    # maximum clipped to [0, 1] does, so both settings give the same table;
+    # only the raw_curve metadata key differs
+    for model, seed in ((M1, 31), (M2, 32)):
+        sample = draw(model, 400, seed)
+        for order in (0, 1, 2):
+            c = cfg(kernel=get_kernel(name), h=0.3, order=order)
+            for alpha in (0.05, 0.5, 0.93):
+                tables = [
+                    quantile_band(sample, np.linspace(-1.0, 1.0, 9), alpha, c,
+                                  lambda x, y: DensityPair(1.0, 1.0, "oracle"), use_raw_curve=raw)
+                    for raw in (False, True)
+                ]
+                docs = [json.loads(t.to_json()) for t in tables]
+                assert [d["metadata"].pop("raw_curve") for d in docs] == [False, True]
+                assert docs[0] == docs[1]
+                assert csv_text(tables[0], BandTable.to_csv) == csv_text(tables[1], BandTable.to_csv)
 
 
 def test_quantile_band_oracle_tracks_truth():

@@ -5,13 +5,17 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import condbands
+import condbands.cli as cli
 from condbands import (
     EmptyInput,
     EstimatorConfig,
@@ -139,6 +143,92 @@ def test_ingest_reports_undecodable_bytes_as_parse_error(tmp_path):
         ingest_csv(str(path))
     assert err.value.line == 4
     assert "UTF-8" in str(err.value)
+
+
+def _outcome(path, fast=True):
+    """What ``ingest_csv(path)`` gives, with or without its fast path: the
+    sample's bytes, or the error's type, message and line."""
+    with mock.patch.object(cli, "_ingest_csv_fast", cli._ingest_csv_fast if fast else lambda p: None):
+        try:
+            sample = ingest_csv(path)
+        except Exception as exc:
+            return type(exc), str(exc), getattr(exc, "line", None)
+    return sample.xs.tobytes(), sample.ys.tobytes()
+
+
+# fields: mostly plain numbers, some that float() and np.loadtxt read differently
+# or that the strict parser must reject
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e3, 1e3).map(lambda v: f"{v:.6g}"),
+    st.integers(-10**6, 10**6).map(str),
+)
+_FIELDS = st.one_of(
+    _NUMBERS,
+    st.sampled_from([
+        "1_0", "nan", "inf", "-inf", "1e999", "1e-400", '"2.5"', "", " ", "0x1p3",
+        "\u0661", "2\x1c", "+.5", "5.", "-0", " 0.25 ", "\t3", "1e", "1.2.3", "e5",
+    ]),
+)
+_ROWS = st.one_of(
+    st.lists(_FIELDS, min_size=2, max_size=2).map(",".join),
+    st.lists(_FIELDS, min_size=1, max_size=3).map(",".join),
+    st.lists(_FIELDS, min_size=2, max_size=2).map(lambda f: ",".join(f) + ","),
+    st.sampled_from(["", "  ", "\t", " , ", ","]),
+)
+_PLAIN_ROWS = st.one_of(
+    st.tuples(_NUMBERS, _NUMBERS).map(",".join),
+    st.tuples(_NUMBERS, _NUMBERS).map(lambda f: f" {f[0]} ,\t{f[1]}"),
+    st.just(""),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    bom=st.booleans(),
+    header=st.one_of(
+        st.sampled_from(["x,y", "X, Y", " x ,y "]),
+        st.sampled_from(['"x","y"', "x,y,z", "a,b", "x;y", ""]),
+    ),
+    rows=st.one_of(st.lists(_PLAIN_ROWS, max_size=8), st.lists(_ROWS, max_size=8)),
+    newline=st.sampled_from(["\n", "\r\n", "\r"]),
+    final=st.booleans(),
+)
+def test_ingest_fast_path_matches_the_strict_parser(bom, header, rows, newline, final):
+    # every file gives the strict parser's floats bit for bit, or its error
+    # type and line number; about a quarter of the files are plain enough for
+    # the fast path
+    text = newline.join([header, *rows]) + (newline if final else "")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.csv")
+        with open(path, "w", newline="", encoding="utf-8-sig" if bom else "utf-8") as fh:
+            fh.write(text)
+        assert _outcome(path) == _outcome(path, fast=False)
+
+
+@pytest.mark.parametrize("text", [
+    "x,y\n0.5,1\n-2e-3,+.25\n",
+    "X , Y\r\n0.5,1\r\n\r\n 3 ,\t4\r\n",
+    "\ufeffx,y\r0.1,0.2\r-0,5.\r",
+])
+def test_ingest_fast_path_takes_plain_files(tmp_path, text):
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode("utf-8"))
+    fast = cli._ingest_csv_fast(str(path))
+    assert fast is not None
+    strict = cli._ingest_csv_strict(str(path))
+    assert fast.xs.tobytes() == strict.xs.tobytes() and fast.ys.tobytes() == strict.ys.tobytes()
+
+
+@pytest.mark.parametrize("body", [
+    "", "\n", "1_0,2\n", "nan,1\n", "1,inf\n", "1e999,1\n", '"1",2\n', "1,2,\n",
+    "1\n", "1,2,3\n", "1,2\n  \n", " , \n", "2\x1c,1\n", "\u0661,2\n", "1,2\n3\n",
+])
+def test_ingest_fast_path_leaves_anything_else_to_the_strict_parser(tmp_path, body):
+    path = tmp_path / "in.csv"
+    path.write_bytes(("x,y\n" + body).encode("utf-8"))
+    assert cli._ingest_csv_fast(str(path)) is None
+    assert _outcome(str(path)) == _outcome(str(path), fast=False)
 
 
 # ---------------------------------------------------------------------------

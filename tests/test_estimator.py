@@ -495,6 +495,41 @@ def test_curve_ties_accumulate():
     assert curve.value_at(0.5) == pytest.approx(0.75, abs=1e-12)
 
 
+def reference_curve(fit, sample, monotonize):
+    """The concatenate-based ``LocalWeights.curve`` that the in-place builder replaced."""
+    index = fit.window.index
+    order = np.argsort(sample.y_rank[index])
+    ymin, ymax = sample.y_range
+    ys_ext = np.concatenate(([ymin], sample.ys[index[order]], [ymax]))
+    cum = np.cumsum(np.concatenate(([0.0], fit.window_weights[order], [0.0])))
+    last = np.flatnonzero(np.append(ys_ext[1:] != ys_ext[:-1], True))
+    jump_ts, values = ys_ext[last], cum[last]
+    if monotonize:
+        values = np.clip(np.maximum.accumulate(values), 0.0, 1.0)
+    return jump_ts, values
+
+
+@pytest.mark.parametrize("kernel", [EPA, UNI, GAU], ids=lambda k: k.name)
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_curve_is_the_concatenating_builder_bit_for_bit(kernel, order):
+    # responses with many ties, equal to the range ends too, and windows whose
+    # sample indices are in X order (compact kernels) or sample order (Gaussian)
+    rng = np.random.default_rng(order)
+    xs = rng.normal(size=600)
+    ys = np.round(rng.random(600), 2)
+    ys[:5] = ys.min()
+    ys[5:10] = -0.0
+    s = Sample(xs=xs, ys=ys)
+    for x in np.linspace(-1.5, 1.5, 13):
+        fit = local_weights(s, x, cfg(kernel=kernel, h=0.3, order=order))
+        for monotonize in (False, True):
+            curve = fit.curve(s, monotonize)
+            jump_ts, values = reference_curve(fit, s, monotonize)
+            assert curve.jump_ts.tobytes() == jump_ts.tobytes()
+            assert curve.values.tobytes() == values.tobytes()
+            assert curve.monotonized is monotonize and curve.order == order
+
+
 def test_raw_curve_can_overshoot_and_monotonize_fixes_it():
     # one-sided design gives the far edge of the window a negative weight
     s = Sample(xs=[-0.5, -0.6, -0.7, -0.95], ys=[0.2, 0.4, 0.6, 0.8])

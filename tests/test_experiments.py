@@ -258,10 +258,10 @@ def test_sup_statistic_equals_a_per_location_recomputation(model, order):
 def test_em_constant_equals_a_per_location_recomputation(model):
     # em-constant's order-0 and order-1 statistics, with each location's
     # centerings built once and reused over replications, must equal a
-    # recomputation of every replication location by location, with the
-    # centerings built afresh each time; both orders come from one build,
-    # as in the experiment, since m1's sums over two weight rows can differ
-    # in the last bit from those over one
+    # recomputation of every replication location by location, with each
+    # order's centering from the public centering_curve: the experiment
+    # evaluates both orders at once, and on m1 each order's row is still
+    # its own one-row sum, so the bits match
     grid = np.linspace(-1.0, 1.0, 7)
     reps = 3
     for kernel, n, seed in ((EPA, 400, 21), (UNI, 150, 40)):
@@ -276,10 +276,9 @@ def test_em_constant_equals_a_per_location_recomputation(model):
                     cdf_curve(sample, x, cfg(kernel, h=h, order=p), monotonize=False)
                     for p in (0, 1)
                 ]
-                centering = condbands.experiments._centering(model, x, kernel, h, (0, 1))
-                refs = centering(curves[0].jump_ts)
                 for p in (0, 1):
-                    devs[p].append(step_sup_deviation(curves[p].values, refs[p]))
+                    ref = centering_curve(model, x, curves[p].jump_ts, kernel, h, p)
+                    devs[p].append(step_sup_deviation(curves[p].values, ref))
             for p in (0, 1):
                 stats[p].append(scale * max(devs[p]))
         report = em_constant_experiment(model, n, reps, cfg(kernel, h=h), x_grid=grid, seed=seed)

@@ -114,7 +114,7 @@ def test_true_cdf_is_the_one_location_row_of_the_grid(kind, x):
 
 @pytest.mark.parametrize("kind", ["m1", "m2"])
 @pytest.mark.parametrize("support", [(-1.0, 1.0), None], ids=["compact", "gaussian"])
-@pytest.mark.parametrize("rows", [1, 2])
+@pytest.mark.parametrize("rows", [0, 1, 2])
 def test_weighted_cdf_is_the_weighted_sum_of_grid_rows(kind, support, rows):
     # the centering's nodes, z = x - h u, plus nodes at z = 0 and at
     # |z| = |t|; t at 0, below 0, at +-|z| and beyond every node's support
@@ -152,6 +152,20 @@ def test_prepared_weighted_cdf_is_weighted_cdf_at_every_evaluation(kind):
         assert got.tobytes() == want.tobytes()
     assert prepared(ts).tobytes() == weighted_cdf(model, zs_before, weights_before, ts).tobytes()
     assert zs.tobytes() == zs_before.tobytes() and weights.tobytes() == weights_before.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["m1", "m2"])
+def test_weighted_cdf_rows_do_not_depend_on_the_other_rows(kind):
+    # each row of a many-row sum has the bits of that row summed alone, so a
+    # centering of several orders equals each order's own centering exactly
+    model = sim_model(kind)
+    u, _ = _gl_nodes((-1.0, 1.0))
+    zs = 0.4 - 0.25 * u
+    weights = np.random.default_rng(5).standard_normal((3, zs.size))
+    ts = np.linspace(-0.2, 1.2, 301)
+    rows = weighted_cdf(model, zs, weights, ts)
+    for i in range(3):
+        assert rows[i].tobytes() == weighted_cdf(model, zs, weights[i : i + 1], ts)[0].tobytes()
 
 
 @pytest.mark.parametrize("kind", ["m1", "m2"])
