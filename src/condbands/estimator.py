@@ -93,7 +93,7 @@ class Sample:
     @cached_property
     def x_order(self) -> np.ndarray:
         """Stable argsort of ``xs`` (read-only)."""
-        return _read_only(np.argsort(self.xs, kind="stable"))
+        return _read_only(_stable_argsort(self.xs))
 
     @cached_property
     def xs_sorted(self) -> np.ndarray:
@@ -105,16 +105,38 @@ class Sample:
         """Position of each response in a stable sort of ``ys`` (read-only).
 
         Ranks are distinct, so ordering any subset by rank orders it by
-        response and ties by sample index.
+        response and ties by sample index.  They are ``uint16`` up to
+        2**16 observations, which lets :meth:`LocalWeights.curve` radix-sort
+        them, and ``intp`` beyond.
         """
-        rank = np.empty(self.n, dtype=np.intp)
-        rank[np.argsort(self.ys, kind="stable")] = np.arange(self.n)
+        dtype = np.uint16 if self.n <= _RADIX_RANKS else np.intp
+        rank = np.empty(self.n, dtype=dtype)
+        rank[_stable_argsort(self.ys)] = np.arange(self.n, dtype=dtype)
         return _read_only(rank)
 
     @cached_property
     def y_range(self) -> tuple[float, float]:
         """Smallest and largest response."""
         return float(self.ys.min()), float(self.ys.max())
+
+
+# Samples of at most this many observations keep their response ranks in
+# uint16, the widest keys numpy sorts by radix.
+_RADIX_RANKS = 1 << 16
+
+
+def _stable_argsort(values: np.ndarray) -> np.ndarray:
+    """``np.argsort(values, kind="stable")``, by the quicker default sort where it may.
+
+    Without equal values the sorting permutation is unique, so any sort
+    finds the stable one; only a tie, -0.0 and 0.0 included, needs the
+    stable sort.
+    """
+    order = np.argsort(values)
+    ordered = values[order]
+    if (ordered[1:] == ordered[:-1]).any():
+        order = np.argsort(values, kind="stable")
+    return order
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -212,8 +234,12 @@ class LocalWeights:
         index = self.window.index
         m = index.size
         # by response, ties by sample index: a stable sort of ys[index] when
-        # index is increasing, whatever order index is in
-        order = np.argsort(sample.y_rank[index])
+        # index is increasing, whatever order index is in.  The ranks are
+        # distinct, so every sort gives the same permutation; numpy's stable
+        # sort is a radix sort on 16-bit keys, and its default sort is the
+        # quicker one on wider keys.
+        keys = sample.y_rank[index]
+        order = np.argsort(keys, kind="stable" if keys.itemsize <= 2 else "quicksort")
         ys_ext = np.empty(m + 2)
         ys_ext[0], ys_ext[-1] = sample.y_range
         np.take(sample.ys, index[order], out=ys_ext[1:-1])

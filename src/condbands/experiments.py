@@ -12,7 +12,12 @@ Two reference curves are available when measuring deviations:
 Limit comparisons use the centering reference.  The centering does not
 depend on the sample, so an experiment builds each location's centering
 once, the first time a replication keeps that location, and evaluates it
-at every later replication's jump points.  Replication r of an
+at every later replication's jump points.  At each location the
+references (the truth and the centerings) are stacked as rows, and
+every sup deviation of the location's curves from them is taken in one
+vectorized pass that builds each curve's left limits once; max and abs
+are exact, so each deviation has the bits of its own
+:func:`step_sup_deviation`.  Replication r of an
 experiment seeded with s draws from the child stream (s, spawn_key=r),
 and the replications run in order on the calling thread.  The
 experiments' ``workers`` argument is accepted for compatibility: it must
@@ -218,8 +223,25 @@ def step_sup_deviation(values: np.ndarray, refs: np.ndarray) -> float:
     """
     values = np.asarray(values, dtype=float)
     refs = np.asarray(refs, dtype=float)
-    prev = np.concatenate(([0.0], values[:-1]))
-    return float(max(np.abs(values - refs).max(), np.abs(prev - refs).max()))
+    return float(_step_sup_deviations(values[None], refs[None])[0])
+
+
+def _step_sup_deviations(values, refs):
+    """:func:`step_sup_deviation` of each row of ``values`` against that row of ``refs``.
+
+    ``values`` holds one step curve per row of ``refs``, or a single curve
+    for all of them.  Each curve's left limits are built once and every
+    deviation is taken in one pass; max and abs are exact, so each entry
+    has the bits of its own :func:`step_sup_deviation`.
+    """
+    rows, size = values.shape
+    steps = np.empty((2, rows, size))
+    steps[0] = values
+    steps[1, :, 0] = 0.0
+    steps[1, :, 1:] = values[:, :-1]
+    dev = steps - refs
+    np.abs(dev, out=dev)
+    return dev.max(axis=(0, 2))
 
 
 def band_normalized_sup(deviations, halfwidths) -> float:
@@ -242,7 +264,7 @@ def _location_deviations(sample, model, cfg, x_grid, references, centerings):
     """
     def deviations(x, fit, half):
         curve = fit.curve(sample, monotonize=False)
-        return _deviations(model, cfg, x, [curve] * len(references), references, centerings), half
+        return _deviations(model, cfg, x, [curve], references, centerings), half
 
     kept, skipped = fit_grid(sample, x_grid, cfg, deviations)
     devs, halves = zip(*kept)
@@ -250,25 +272,30 @@ def _location_deviations(sample, model, cfg, x_grid, references, centerings):
 
 
 def _deviations(model, cfg, x, curves, references, centerings):
-    """Sup over t of |curve - reference| at ``x`` for each pair of curve and reference.
+    """Sup over t of |curve - reference| at ``x`` for each reference.
 
-    None is the true F(t | x): the one-row true-cdf matrix at x, which is
-    the value :func:`true_cdf` gives.  p is the order-p centering.  The
-    curves come from one kernel window, so they share their jump points,
-    and one evaluation of the location's centering serves every order.
-    ``centerings`` maps (x, orders) to that centering; an experiment keeps
-    one such memo over all its replications, so it builds each location's
-    centering once, at the first replication that keeps the location.
+    ``curves`` holds one curve per entry of ``references``, or one curve
+    for all of them.  None is the true F(t | x): the one-row true-cdf
+    matrix at x, which is the value :func:`true_cdf` gives.  p is the
+    order-p centering.  The curves come from one kernel window, so they
+    share their jump points, one evaluation of the location's centering
+    serves every order, and one pass over the stacked curves and
+    references gives every deviation.  ``centerings`` maps (x, orders) to
+    that centering; an experiment keeps one such memo over all its
+    replications, so it builds each location's centering once, at the
+    first replication that keeps the location.
     """
     ts = curves[0].jump_ts
-    refs = {None: true_cdf_grid(model, [x], ts)[0]} if None in references else {}
+    rows = {None: true_cdf_grid(model, [x], ts)[0]} if None in references else {}
     orders = tuple(r for r in references if r is not None)
     if orders:
         key = (x, orders)
         if key not in centerings:
             centerings[key] = _centering(model, x, cfg.kernel, cfg.bandwidth, orders)
-        refs.update(zip(orders, centerings[key](ts)))
-    return [step_sup_deviation(c.values, refs[r]) for c, r in zip(curves, references)]
+        rows.update(zip(orders, centerings[key](ts)))
+    refs = np.array([rows[r] for r in references])
+    values = np.array([c.values for c in curves])
+    return _step_sup_deviations(values, refs).tolist()
 
 
 def sup_deviation_statistic(

@@ -109,9 +109,11 @@ def true_cdf_grid(model: SimModel, xs, ts) -> np.ndarray:
         inner = 1.0 - (1.0 - np.clip(ts, 0.0, 1.0))[None, :] ** b[:, None]
         return np.where(ts < 0.0, 0.0, np.where(ts > 1.0, 1.0, inner))
     ax = np.abs(xs)[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inside = (ts + ax) / (2.0 * ax)
-    return np.where(ax <= np.abs(ts), (ts >= 0.0).astype(float), inside)
+    out = np.empty((xs.size, ts.size))
+    out[...] = ts >= 0.0
+    # (t + |x|) / (2 |x|) only where |x| > |t|, so |x| = 0 is never divided by
+    np.divide(ts + ax, 2.0 * ax, out=out, where=ax > np.abs(ts))
+    return out
 
 
 def weighted_cdf(model: SimModel, zs, weights, ts) -> np.ndarray:

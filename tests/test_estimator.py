@@ -379,6 +379,37 @@ def test_sample_caches_computed_from_many_threads_agree():
             assert np.array_equal(ours.values, ref.values)
 
 
+def _columns(n, case):
+    """A design column and a response column of length n for ``case``."""
+    rng = np.random.default_rng(n)
+    xs, ys = rng.normal(size=n), rng.random(n)
+    if case == "repeated":
+        xs, ys = np.round(xs, 1), np.round(ys, 2)
+    elif case == "signed_zeros":
+        xs[::3], xs[1::3] = 0.0, -0.0
+        ys[::4], ys[2::4] = -0.0, 0.0
+    elif case == "constant":
+        xs[:] = 0.25
+        ys[:] = -1.5
+    return xs, ys
+
+
+@pytest.mark.parametrize("n", [1, 2, 600, 1 << 16, 70_000])
+@pytest.mark.parametrize("case", ["distinct", "repeated", "signed_zeros", "constant"])
+def test_sample_orders_are_the_stable_argsort(n, case):
+    # the default sort may order equal values any way, so ties, -0.0 == 0.0
+    # among them, must still give the stable order; up to 2**16 points the
+    # ranks are uint16, beyond that intp
+    xs, ys = _columns(n, case)
+    s = Sample(xs=xs, ys=ys)
+    assert np.array_equal(s.x_order, np.argsort(xs, kind="stable"))
+    assert s.xs_sorted.tobytes() == xs[np.argsort(xs, kind="stable")].tobytes()
+    rank = np.empty(n, dtype=np.intp)
+    rank[np.argsort(ys, kind="stable")] = np.arange(n)
+    assert np.array_equal(s.y_rank, rank)
+    assert s.y_rank.dtype == (np.uint16 if n <= 1 << 16 else np.intp)
+
+
 # ---------------------------------------------------------------------------
 # Point estimates
 # ---------------------------------------------------------------------------
@@ -496,9 +527,11 @@ def test_curve_ties_accumulate():
 
 
 def reference_curve(fit, sample, monotonize):
-    """The concatenate-based ``LocalWeights.curve`` that the in-place builder replaced."""
+    """The concatenate-based ``LocalWeights.curve`` that the in-place builder
+    replaced, with its window ordered by response and then sample index
+    through ``lexsort`` instead of the sample's cached ranks."""
     index = fit.window.index
-    order = np.argsort(sample.y_rank[index])
+    order = np.lexsort((index, sample.ys[index]))
     ymin, ymax = sample.y_range
     ys_ext = np.concatenate(([ymin], sample.ys[index[order]], [ymax]))
     cum = np.cumsum(np.concatenate(([0.0], fit.window_weights[order], [0.0])))
@@ -513,21 +546,25 @@ def reference_curve(fit, sample, monotonize):
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_curve_is_the_concatenating_builder_bit_for_bit(kernel, order):
     # responses with many ties, equal to the range ends too, and windows whose
-    # sample indices are in X order (compact kernels) or sample order (Gaussian)
+    # sample indices are in X order (compact kernels) or sample order
+    # (Gaussian); 600 points rank in uint16 and radix-sort each window, and
+    # 70 000 rank in intp and take the default sort
     rng = np.random.default_rng(order)
-    xs = rng.normal(size=600)
-    ys = np.round(rng.random(600), 2)
-    ys[:5] = ys.min()
-    ys[5:10] = -0.0
-    s = Sample(xs=xs, ys=ys)
-    for x in np.linspace(-1.5, 1.5, 13):
-        fit = local_weights(s, x, cfg(kernel=kernel, h=0.3, order=order))
-        for monotonize in (False, True):
-            curve = fit.curve(s, monotonize)
-            jump_ts, values = reference_curve(fit, s, monotonize)
-            assert curve.jump_ts.tobytes() == jump_ts.tobytes()
-            assert curve.values.tobytes() == values.tobytes()
-            assert curve.monotonized is monotonize and curve.order == order
+    for n, rank_dtype in ((600, np.uint16), (70_000, np.intp)):
+        xs = rng.normal(size=n)
+        ys = np.round(rng.random(n), 2)
+        ys[:5] = ys.min()
+        ys[5:10] = -0.0
+        s = Sample(xs=xs, ys=ys)
+        assert s.y_rank.dtype == rank_dtype
+        for x in np.linspace(-1.5, 1.5, 13):
+            fit = local_weights(s, x, cfg(kernel=kernel, h=0.3, order=order))
+            for monotonize in (False, True):
+                curve = fit.curve(s, monotonize)
+                jump_ts, values = reference_curve(fit, s, monotonize)
+                assert curve.jump_ts.tobytes() == jump_ts.tobytes()
+                assert curve.values.tobytes() == values.tobytes()
+                assert curve.monotonized is monotonize and curve.order == order
 
 
 def test_raw_curve_can_overshoot_and_monotonize_fixes_it():

@@ -11,6 +11,7 @@ import condbands.experiments
 import condbands.simulation
 from condbands import (
     EstimatorConfig,
+    InsufficientLocalData,
     InvalidBandwidth,
     band_halfwidth,
     bochner_check,
@@ -170,6 +171,32 @@ def test_step_sup_deviation_hand_case():
     assert step_sup_deviation(np.array([1.0]), np.array([0.9])) == pytest.approx(0.9)
 
 
+def _naive_step_sup(values, refs):
+    """step_sup_deviation with Python floats, one point at a time."""
+    best, prev = 0.0, 0.0
+    for v, r in zip(values.tolist(), refs.tolist()):
+        best = max(best, abs(v - r), abs(prev - r))
+        prev = v
+    return best
+
+
+def test_step_sup_deviations_are_the_naive_sups_bit_for_bit():
+    # the stacked pass against several references, with one curve per
+    # reference or one curve for all of them, gives each pair's own sup
+    rng = np.random.default_rng(5)
+    # at the second jump the left limit 0.2 is furthest from the reference
+    assert step_sup_deviation(np.array([0.2, 0.9]), np.array([0.1, 0.8])) == abs(0.2 - 0.8)
+    for size in (1, 2, 7, 400):
+        values = rng.uniform(-0.2, 1.2, size=(3, size))
+        refs = rng.random((3, size))
+        stacked = condbands.experiments._step_sup_deviations(values, refs)
+        shared = condbands.experiments._step_sup_deviations(values[:1], refs)
+        for i in range(3):
+            assert stacked[i] == _naive_step_sup(values[i], refs[i])
+            assert shared[i] == _naive_step_sup(values[0], refs[i])
+            assert step_sup_deviation(values[i], refs[i]) == stacked[i]
+
+
 def test_step_sup_deviation_matches_brute_force():
     rng = np.random.default_rng(77)
     sample = draw(M1, 300, rng)
@@ -286,6 +313,65 @@ def test_em_constant_equals_a_per_location_recomputation(model):
         assert summary["skipped_locations"] == 0
         assert summary["order0"] == condbands.experiments._stats(np.array(stats[0]))
         assert summary["order1"] == condbands.experiments._stats(np.array(stats[1]))
+
+
+@pytest.mark.parametrize("model", [M1, M2], ids=["m1", "m2"])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_coverage_equals_a_per_location_recomputation(model, order):
+    # coverage takes each location's deviation from the truth alone, in the
+    # same pass that serves several references elsewhere; it must equal the
+    # public true_cdf and step_sup_deviation location by location, also on a
+    # grid with a location outside every window
+    grid = np.array([-6.0, -1.0, -0.4, 0.0, 0.3, 1.0])
+    reps = 3
+    for kernel, n, seed in ((EPA, 400, 21), (UNI, 150, 40)):
+        c = cfg(kernel, h=reference_bandwidth(n), order=order)
+        lams = []
+        for r in range(reps):
+            sample = draw(model, n, np.random.SeedSequence(seed, spawn_key=(r,)))
+            devs = []
+            for x in grid[1:]:
+                curve = cdf_curve(sample, x, c, monotonize=False)
+                truth = true_cdf(model, x, curve.jump_ts)
+                devs.append(step_sup_deviation(curve.values, truth) / band_halfwidth(sample, x, c))
+            lams.append(max(devs))
+        summary = coverage_experiment(model, n, reps, 0.5, c, grid, seed=seed).summaries[0]
+        assert summary["skipped_locations"] == reps
+        assert summary["statistic"] == condbands.experiments._stats(np.array(lams))
+        assert summary["upper_coverage"] == float(np.mean(np.array(lams) <= 1.5))
+
+
+def test_em_constant_with_order0_only_locations_equals_a_recomputation():
+    # in the tail some windows hold enough points for a constant fit but not
+    # for a linear one, so those locations compare only their order-0 curve
+    # with its centering; every statistic must still equal a recomputation
+    # location by location with the public functions
+    n, reps, seed = 200, 4, 1
+    h = reference_bandwidth(n)
+    scale = math.sqrt(n * h / math.log(1.0 / h))
+    grid = np.linspace(1.6, 3.6, 11)
+    stats, skipped, order0_only = {0: [], 1: []}, 0, 0
+    for r in range(reps):
+        sample = draw(M1, n, np.random.SeedSequence(seed, spawn_key=(r,)))
+        kept, gone = fit_grid(sample, grid, cfg(EPA, h=h, order=0), lambda x, fit, half: x)
+        devs = {0: [], 1: []}
+        for x in kept:
+            for p in (0, 1):
+                try:
+                    curve = cdf_curve(sample, x, cfg(EPA, h=h, order=p), monotonize=False)
+                except InsufficientLocalData:
+                    order0_only += 1
+                    continue
+                ref = centering_curve(M1, x, curve.jump_ts, EPA, h, p)
+                devs[p].append(step_sup_deviation(curve.values, ref))
+        skipped += 2 * len(gone) + len(kept) - len(devs[1])
+        for p in (0, 1):
+            stats[p].append(scale * max(devs[p]))
+    assert order0_only > 0
+    summary = em_constant_experiment(M1, n, reps, cfg(EPA, h=h), x_grid=grid, seed=seed).summaries[0]
+    assert summary["skipped_locations"] == skipped
+    assert summary["order0"] == condbands.experiments._stats(np.array(stats[0]))
+    assert summary["order1"] == condbands.experiments._stats(np.array(stats[1]))
 
 
 def test_normalized_sup_statistic_positive():
