@@ -13,6 +13,7 @@ supplied either by an oracle or by a plug-in estimate.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -21,6 +22,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from . import floatfmt
 from .errors import (
     InsufficientLocalData,
     InvalidBandwidth,
@@ -83,11 +85,11 @@ class BandTable:
     def to_csv(self, path_or_buf) -> None:
         """Write rows as CSV with header x,t,estimate,halfwidth,lower,upper.
 
-        ``path_or_buf`` is a path (``str``, ``bytes`` or ``os.PathLike``) or
-        an open text file.
+        ``path_or_buf`` is a path (``str``, ``bytes`` or ``os.PathLike``),
+        which is written in binary mode, or an open text or binary file.
         """
         own = isinstance(path_or_buf, (str, bytes, os.PathLike))
-        buf = open(path_or_buf, "w", newline="") if own else path_or_buf
+        buf = open(path_or_buf, "wb") if own else path_or_buf
         try:
             write_csv(buf, _TABLE_HEADER, self._columns(), blank_nan=("t",))
         finally:
@@ -112,40 +114,29 @@ class BandTable:
 _TABLE_HEADER = ("x", "t", "estimate", "halfwidth", "lower", "upper")
 
 # Rows formatted per write.  Large enough that numpy calls amortize, small
-# enough that the chunk's strings add little to peak memory.
-_CSV_CHUNK_ROWS = 2048
-
-
-def _float_text(col: np.ndarray, blank_nan: bool) -> list[str]:
-    """``repr`` of each value of ``col``, formatting each distinct value once.
-
-    Values are told apart by their bit pattern, so -0.0 and 0.0 keep their
-    own text.  NaN is written as "" when ``blank_nan`` is set.
-    """
-    bits, inv = np.unique(col.view(np.int64), return_inverse=True)
-    text = [
-        "" if blank_nan and math.isnan(v) else repr(v)
-        for v in bits.view(np.float64).tolist()
-    ]
-    return [text[i] for i in inv.tolist()]
+# enough that the chunk's temporaries add little to peak memory.
+_CSV_CHUNK_ROWS = 1024
 
 
 def write_csv(
     buf, header: Sequence[str], columns: Sequence[np.ndarray], blank_nan: Sequence[str] = ()
 ) -> None:
-    """Write float ``columns`` under ``header`` to the text file ``buf``.
+    """Write float ``columns`` under ``header`` to the file ``buf``.
 
     The bytes are those of ``csv.writer`` over rows of ``repr(float(v))``
     fields (no field ever needs quoting; rows end in CRLF), with an empty
-    field for NaN in the columns named in ``blank_nan``.
+    field for NaN in the columns named in ``blank_nan``.  A binary file gets
+    those bytes; any other file gets them as ``str``, which it encodes itself.
     """
-    buf.write(",".join(header) + "\r\n")
+    binary = isinstance(buf, (io.RawIOBase, io.BufferedIOBase))
+    head = ",".join(header) + "\r\n"
+    buf.write(head.encode() if binary else head)
     columns = [np.ascontiguousarray(col, dtype=np.float64) for col in columns]
-    blank = [name in blank_nan for name in header]
+    blank = np.array([name in blank_nan for name in header])
     for start in range(0, columns[0].size, _CSV_CHUNK_ROWS):
         stop = start + _CSV_CHUNK_ROWS
-        texts = [_float_text(col[start:stop], b) for col, b in zip(columns, blank)]
-        buf.write("\r\n".join(map(",".join, zip(*texts))) + "\r\n")
+        rows = floatfmt.encode_rows(np.column_stack([col[start:stop] for col in columns]), blank)
+        buf.write(rows if binary else rows.decode("ascii"))
 
 
 def certainty_halfwidth(

@@ -366,7 +366,7 @@ def _write_table(table, config: argparse.Namespace) -> None:
 
 def _cmd_simulate(config: argparse.Namespace) -> int:
     sample = draw(sim_model(config.model), config.n, config.seed)
-    with open(config.output, "w", newline="") as fh:
+    with open(config.output, "wb") as fh:
         bands_mod.write_csv(fh, ("x", "y"), (sample.xs, sample.ys))
     return 0
 

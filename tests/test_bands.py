@@ -514,7 +514,7 @@ def csv_text(table, writer):
     return buf.getvalue()
 
 
-@pytest.mark.parametrize("n", [0, 1, 2047, 2048, 2049, 4097])
+@pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2047, 2048, 2049, 4097])
 def test_to_csv_matches_per_row_writer(n):
     table = synthetic_table(n, seed=n)
     got = csv_text(table, BandTable.to_csv)
@@ -566,6 +566,20 @@ def test_to_csv_accepts_str_path_and_text_file(tmp_path):
     expected = buf.getvalue().encode()
     assert (tmp_path / "str.csv").read_bytes() == expected
     assert (tmp_path / "path.csv").read_bytes() == expected
+
+
+def test_to_csv_keeps_the_encoding_of_a_text_file(tmp_path):
+    table = synthetic_table(1500, seed=11)
+    expected = csv_text(table, reference_to_csv)
+    with open(tmp_path / "utf16.csv", "w", encoding="utf-16", newline="") as fh:
+        table.to_csv(fh)
+    data = (tmp_path / "utf16.csv").read_bytes()
+    assert data[:2] in (b"\xff\xfe", b"\xfe\xff")  # a byte-order mark
+    assert data.decode("utf-16") == expected
+    assert csv_text(table, BandTable.to_csv) == expected
+    buf = io.BytesIO()
+    table.to_csv(buf)
+    assert buf.getvalue() == expected.encode()
 
 
 def test_serializers_reject_ragged_columns():
