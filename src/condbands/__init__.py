@@ -20,7 +20,6 @@ from .estimator import (
     cdf_curve,
     cdf_estimate,
     local_moments,
-    local_responses,
     local_weights,
     quantile_estimate,
     reference_bandwidth,
@@ -57,10 +56,8 @@ from .experiments import (
     coverage_experiment,
     default_x_grid,
     em_constant_experiment,
-    normalized_sup_statistic,
     smoothed_moment,
     smoothed_response,
-    sup_deviation_statistic,
     sup_experiment,
 )
 

@@ -18,7 +18,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -317,15 +317,14 @@ def quantile_band(
     alpha: float,
     cfg: EstimatorConfig,
     densities: Callable[[float, float], DensityPair],
-    use_raw_curve: bool = False,
 ) -> BandTable:
     """Quantile band q_hat(x) +/- 2 * L(x) * fx / fxy.
 
     ``densities(x, q)`` supplies the marginal/joint density pair at the
     estimated quantile.  For alpha in (0, 1) the first point where the raw
     curve reaches alpha is the first where its monotonized form (running
-    maximum clipped to [0, 1]) does, so the raw curve is inverted either
-    way; ``use_raw_curve`` is only recorded in the metadata.
+    maximum clipped to [0, 1]) does, so inverting the raw curve gives the
+    quantile of either.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
@@ -351,7 +350,6 @@ def quantile_band(
         {
             "alpha": alpha,
             "density_source": sources[-1],
-            "raw_curve": use_raw_curve,
             "skipped_locations": skipped,
         }
     )

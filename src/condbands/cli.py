@@ -220,8 +220,6 @@ def _add_replication_args(sub, orders=(0, 1, 2)):
     sub.add_argument("--n-list", type=_list_type(int, "integer"), default=(500,), metavar="N1,N2,...")
     sub.add_argument("--reps", type=int, default=100)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--workers", type=int, default=1,
-                     help="kept for compatibility, must be >= 1; changes neither report nor speed")
     _add_fit_args(sub, orders)
 
 
@@ -259,11 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fit_args(p)
     p.add_argument("--alpha", type=_finite_float, default=0.5)
     p.add_argument("--density", choices=["plugin", "oracle"], default="plugin")
-    p.add_argument(
-        "--raw-curve", action="store_true",
-        help="record raw_curve: true in the metadata; the raw and the monotonized "
-        "curve give the same quantiles, so the raw one is always inverted",
-    )
     p.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
     p.add_argument("--output", required=True)
 
@@ -355,7 +348,15 @@ def _linspace(spec):
     return None if spec is None else np.linspace(*spec)
 
 
+def _note_skipped(table) -> None:
+    """Name on stderr the grid locations a band table skipped, if any."""
+    skipped = table.metadata["skipped_locations"]
+    if skipped:
+        print(f"note: skipped degenerate locations {skipped}", file=sys.stderr)
+
+
 def _write_table(table, config: argparse.Namespace) -> None:
+    _note_skipped(table)
     if config.fmt == "json":
         with open(config.output, "w") as fh:
             fh.write(table.to_json())
@@ -405,8 +406,7 @@ def _cmd_quantile(config: argparse.Namespace) -> int:
             return bands_mod.density_plugin(sample, x, y, cfg)
 
     table = bands_mod.quantile_band(
-        sample, _linspace(config.x_grid), config.alpha, cfg, provider,
-        use_raw_curve=config.raw_curve,
+        sample, _linspace(config.x_grid), config.alpha, cfg, provider
     )
     _write_table(table, config)
     return 0
@@ -424,8 +424,7 @@ def _each_n(experiment, *own: str):
         return [
             experiment(
                 model, n, config.reps, cfg=_estimator_config(config, n),
-                x_grid=_linspace(config.x_grid), seed=config.seed,
-                workers=config.workers, **kwargs,
+                x_grid=_linspace(config.x_grid), seed=config.seed, **kwargs,
             )
             for n in config.n_list
         ]
@@ -519,9 +518,7 @@ def _cmd_plotdata(config: argparse.Namespace) -> int:
         sample, _linspace(config.x_grid), t_grid, cfg,
         epsilon=config.epsilon, clip=config.clip,
     )
-    skipped = table.metadata["skipped_locations"]
-    if skipped:
-        print(f"note: skipped degenerate locations {skipped}", file=sys.stderr)
+    _note_skipped(table)
     # One block of rows per kept location.  Explicit grids give every block
     # len(t_grid) rows; a jump curve contains the sample minimum exactly
     # once, as its first jump, so each jump block starts there.

@@ -4,8 +4,7 @@ Conventions used throughout the package, for a sample (X_i, Y_i), a
 location x and a bandwidth h in (0, 1):
 
     u_i = (x - X_i) / h
-    local moment j   : (1 / (n h)) * sum_i  u_i^j K(u_i)
-    local response j : (1 / (n h)) * sum_i  1{Y_i <= t} u_i^j K(u_i)
+    local moment j : (1 / (n h)) * sum_i  u_i^j K(u_i)
 
 Estimators of order p in {0, 1, 2} all reduce to a weight vector w(x)
 aligned with the sample, with sum(w) = 1 and, for p >= 1, sum(w u) = 0.
@@ -20,7 +19,7 @@ window of x is cut from the sorted xs with ``searchsorted`` and the kernel
 is evaluated on that range only (:func:`kernel_window`).  A kernel without
 support (Gaussian) takes the whole sample as its candidate range.
 :class:`LocalWeights` keeps the window's sample indices and weights and
-builds the n-long weight vector and window mask on demand.
+builds the n-long weight vector on demand.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ __all__ = [
     "KernelWindow",
     "CdfCurve",
     "local_moments",
-    "local_responses",
     "local_weights",
     "kernel_window",
     "cdf_estimate",
@@ -186,9 +184,9 @@ class LocalWeights:
     a kernel with compact support, in sample order otherwise) and
     ``window_weights`` their weights; every other observation has weight
     exactly 0.  The weights sum to one, and for order >= 1 they are
-    orthogonal to u.  ``weights`` and ``in_window`` build the n-long weight
-    vector and window mask on demand.  ``density`` is the local moment of
-    order zero, d0(x) = sum_i K(u_i) / (n h), which the band half-width uses.
+    orthogonal to u.  ``weights`` builds the n-long weight vector on demand.
+    ``density`` is the local moment of order zero, d0(x) = sum_i K(u_i) / (n h),
+    which the band half-width uses.
     """
 
     x: float
@@ -207,13 +205,6 @@ class LocalWeights:
         w = np.zeros(self.n)
         w[self.window.index] = self.window_weights
         return w
-
-    @property
-    def in_window(self) -> np.ndarray:
-        """The n-long mask of the observations with K(u_i) > 0."""
-        mask = np.zeros(self.n, dtype=bool)
-        mask[self.window.index] = True
-        return mask
 
     def at_order(self, order: int) -> LocalWeights:
         """The fit of ``order`` on the same window, reusing its moments."""
@@ -346,17 +337,6 @@ def local_moments(sample: Sample, x: float, cfg: EstimatorConfig, jmax: int = 2)
         raise ValueError(f"jmax must be in 0..4, got {jmax!r}")
     win = kernel_window(sample, x, cfg)
     return _power_sums(win.u, win.k, jmax) / win.nh
-
-
-def local_responses(
-    sample: Sample, x: float, t: float, cfg: EstimatorConfig, jmax: int = 2
-) -> np.ndarray:
-    """Like :func:`local_moments` with each term multiplied by 1{Y_i <= t}."""
-    if jmax not in (0, 1, 2):
-        raise ValueError(f"jmax must be in 0..2, got {jmax!r}")
-    win = kernel_window(sample, x, cfg)
-    ind = sample.ys[win.index] <= t
-    return _power_sums(win.u[ind], win.k[ind], jmax) / win.nh
 
 
 def _weight_vector(u, k, nh, order, sums):

@@ -20,7 +20,7 @@ are exact, so each deviation has the bits of its own
 :func:`step_sup_deviation`.  Replication r of an
 experiment seeded with s draws from the child stream (s, spawn_key=r),
 and the replications run in order on the calling thread.  The
-experiments' ``workers`` argument is accepted for compatibility: it must
+experiments' ``workers`` argument stays only for existing callers: it must
 be an integer >= 1 and changes neither the report nor the speed.
 """
 
@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InsufficientLocalData, InvalidBandwidth, QuadratureFailure
-from .estimator import EstimatorConfig, Sample, _power_sums, _weight_vector
+from .estimator import EstimatorConfig, _power_sums, _weight_vector
 from .bands import fit_grid
 from .kernels import Kernel
 from .simulation import (
@@ -54,8 +54,6 @@ __all__ = [
     "centering_curve",
     "step_sup_deviation",
     "band_normalized_sup",
-    "sup_deviation_statistic",
-    "normalized_sup_statistic",
     "sup_experiment",
     "coverage_experiment",
     "bochner_check",
@@ -296,44 +294,6 @@ def _deviations(model, cfg, x, curves, references, centerings):
     refs = np.array([rows[r] for r in references])
     values = np.array([c.values for c in curves])
     return _step_sup_deviations(values, refs).tolist()
-
-
-def sup_deviation_statistic(
-    sample: Sample,
-    model: SimModel,
-    cfg: EstimatorConfig,
-    x_grid: Sequence[float] | None = None,
-    reference: str = "true",
-) -> float:
-    """Sup over the grid and all t of |estimate - reference| / L(x).
-
-    This is the quantity whose limit is 1; with ``reference="true"`` it
-    measures total error, with ``reference="centering"`` stochastic error
-    only.
-    """
-    if reference not in ("true", "centering"):
-        raise ValueError(f'reference must be "true" or "centering", got {reference!r}')
-    ref = None if reference == "true" else _centering_order(cfg.order)
-    (devs,), halves, _ = _location_deviations(sample, model, cfg, _as_grid(x_grid), (ref,), {})
-    return band_normalized_sup(devs, halves)
-
-
-def normalized_sup_statistic(
-    sample: Sample,
-    model: SimModel,
-    cfg: EstimatorConfig,
-    x_grid: Sequence[float] | None = None,
-    order: int | None = None,
-) -> float:
-    """sqrt(n h / log(1/h)) times the sup deviation from the centering curve.
-
-    Its limit is the kernel l2 norm over sqrt(2 inf f_X) on the covered
-    interval.
-    """
-    use_cfg = cfg if order is None else replace(cfg, order=order)
-    refs = (_centering_order(use_cfg.order),)
-    (devs,), _, _ = _location_deviations(sample, model, use_cfg, _as_grid(x_grid), refs, {})
-    return _sup_scale(sample.n, cfg.bandwidth) * float(devs.max())
 
 
 def _sup_scale(n, h):

@@ -60,8 +60,6 @@ class Kernel:
         out = self.fn(arr)
         return float(out) if arr.ndim == 0 else out
 
-    __call__ = eval
-
     def moment(self, j: int) -> float:
         """Raw moment of order ``j`` for j in 0..4."""
         if not isinstance(j, (int, np.integer)) or not 0 <= j <= 4:

@@ -39,7 +39,6 @@ __all__ = [
     "draw_conditional",
     "true_cdf",
     "true_cdf_grid",
-    "weighted_cdf",
     "prepare_weighted_cdf",
     "cdf_kinks",
     "true_quantile",
@@ -116,18 +115,12 @@ def true_cdf_grid(model: SimModel, xs, ts) -> np.ndarray:
     return out
 
 
-def weighted_cdf(model: SimModel, zs, weights, ts) -> np.ndarray:
-    """Weighted sums of F(t | z) over the nodes ``zs``: ``weights @ true_cdf_grid(model, zs, ts)``.
-
-    ``weights`` holds one row of node weights per sum, so the result has
-    shape (len(weights), len(ts)).  It is
-    ``prepare_weighted_cdf(model, zs, weights)(ts)``.
-    """
-    return prepare_weighted_cdf(model, zs, weights)(ts)
-
-
 def prepare_weighted_cdf(model: SimModel, zs, weights):
-    """:func:`weighted_cdf` over fixed nodes and weights, as a function of ``ts``.
+    """Weighted sums of F(t | z) over fixed nodes ``zs``, as a function of ``ts``.
+
+    ``weights`` holds one row of node weights per sum.  The function
+    returned gives, at response points ``ts``, the (len(weights), len(ts))
+    array ``weights @ true_cdf_grid(model, zs, ts)``.
 
     Everything that does not depend on ``ts`` is done here, once; the
     function returned mutates nothing, so it may be evaluated at any number

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from conftest import counting_kernel
+from hypothesis import assume, given, settings, strategies as st
 
 from condbands import (
     BandTable,
@@ -27,6 +28,7 @@ from condbands import (
     local_weights,
     oracle_density_provider,
     quantile_band,
+    quantile_estimate,
     reference_bandwidth,
     regression_band,
     sim_model,
@@ -345,22 +347,85 @@ def test_quantile_band_halfwidth_formula():
 @pytest.mark.parametrize("name", ["epanechnikov", "uniform", "gaussian"])
 def test_quantile_band_raw_curve_setting_changes_no_quantile(name):
     # for alpha in (0, 1) the raw curve first reaches alpha where its running
-    # maximum clipped to [0, 1] does, so both settings give the same table;
-    # only the raw_curve metadata key differs
+    # maximum clipped to [0, 1] does, so the raw curve that quantile_band
+    # inverts gives the quantiles of the monotonized one
+    grid = np.linspace(-1.0, 1.0, 9)
     for model, seed in ((M1, 31), (M2, 32)):
         sample = draw(model, 400, seed)
         for order in (0, 1, 2):
             c = cfg(kernel=get_kernel(name), h=0.3, order=order)
             for alpha in (0.05, 0.5, 0.93):
-                tables = [
-                    quantile_band(sample, np.linspace(-1.0, 1.0, 9), alpha, c,
-                                  lambda x, y: DensityPair(1.0, 1.0, "oracle"), use_raw_curve=raw)
-                    for raw in (False, True)
+                table = quantile_band(sample, grid, alpha, c,
+                                      lambda x, y: DensityPair(1.0, 1.0, "oracle"))
+                assert "raw_curve" not in table.metadata
+                want = [
+                    quantile_estimate(local_weights(sample, x, c).curve(sample, monotonize=True), alpha)
+                    for x in table.x
                 ]
-                docs = [json.loads(t.to_json()) for t in tables]
-                assert [d["metadata"].pop("raw_curve") for d in docs] == [False, True]
-                assert docs[0] == docs[1]
-                assert csv_text(tables[0], BandTable.to_csv) == csv_text(tables[1], BandTable.to_csv)
+                assert table.estimate.tolist() == want
+
+
+def _band_or_error(band, *args):
+    try:
+        return band(*args)
+    except InsufficientLocalData:
+        return InsufficientLocalData
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("name", ["epanechnikov", "uniform", "gaussian"])
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    levels=st.integers(2, 60),
+    h=st.floats(0.15, 0.8),
+    alpha=st.floats(0.05, 0.95),
+)
+def test_cdf_and_quantile_bands_are_equivariant_in_y(seed, name, order, levels, h, alpha):
+    # the estimates depend on Y only through 1{Y_i <= t}, so for a strictly
+    # increasing g the band of (X, g(Y)) is the band of (X, Y) with t -> g(t),
+    # bit for bit; responses on a few levels give ties, and the t-grid
+    # holds some of them
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(30, 200))
+    xs = rng.standard_normal(n)
+    ys = rng.integers(0, levels + 1, n) / levels
+    t_grid = np.concatenate((np.linspace(-0.1, 1.1, 9), rng.choice(ys, 4)))
+    # g(y) = e^(3y) - 2 on the union of responses and t-grid, where it must
+    # stay strictly increasing in floating point
+    union = np.unique(np.concatenate((ys, t_grid)))
+    g_union = np.exp(3.0 * union) - 2.0
+    assume(np.all(np.diff(g_union) > 0.0))
+
+    def g(values):
+        return g_union[np.searchsorted(union, values)]
+
+    c = cfg(kernel=get_kernel(name), h=h, order=order)
+    grid = np.linspace(-1.5, 1.5, 7)
+    sample, moved = Sample(xs=xs, ys=ys), Sample(xs=xs, ys=g(ys))
+    for t_here, t_moved in (("jumps", "jumps"), (t_grid, g(t_grid))):
+        a = _band_or_error(cdf_band, sample, grid, t_here, c, 0.2)
+        b = _band_or_error(cdf_band, moved, grid, t_moved, c, 0.2)
+        if a is InsufficientLocalData:
+            assert b is InsufficientLocalData
+            continue
+        assert b.t.tobytes() == g(a.t).tobytes()
+        for col in ("x", "estimate", "halfwidth", "lower", "upper"):
+            assert getattr(b, col).tobytes() == getattr(a, col).tobytes(), col
+        assert b.metadata == a.metadata
+
+    def constant(x, y):
+        return DensityPair(1.0, 1.0, "oracle")
+
+    a = _band_or_error(quantile_band, sample, grid, alpha, c, constant)
+    b = _band_or_error(quantile_band, moved, grid, alpha, c, constant)
+    if a is InsufficientLocalData:
+        assert b is InsufficientLocalData
+        return
+    assert b.estimate.tobytes() == g(a.estimate).tobytes()
+    for col in ("x", "halfwidth"):
+        assert getattr(b, col).tobytes() == getattr(a, col).tobytes(), col
+    assert b.metadata == a.metadata
 
 
 def test_quantile_band_oracle_tracks_truth():

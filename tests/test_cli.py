@@ -308,6 +308,7 @@ def test_quantile_oracle_density(tmp_path):
                  "--x-grid=-0.4:0.4:3", "--output", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["metadata"]["alpha"] == 0.5
+    assert "raw_curve" not in doc["metadata"]
     assert all(r["lower"] <= r["estimate"] <= r["upper"] for r in doc["rows"])
 
 
@@ -326,10 +327,8 @@ def test_bad_bandwidth_text(capsys):
     ["experiment", "sup", "--model", "m1", "--reps", "0"],
     ["experiment", "coverage", "--model", "m1", "--epsilon", "0"],
     ["bands", "--model", "m1", "--n", "0"],
-    ["experiment", "sup", "--model", "m1", "--n-list", "200", "--reps", "2", "--workers", "0"],
-    ["experiment", "sup", "--model", "m1", "--n-list", "200", "--reps", "2", "--workers", "-3"],
 ], ids=["bands-epsilon", "plotdata-epsilon", "quantile-alpha", "regression-y-range",
-        "sup-reps", "coverage-epsilon", "bands-n", "sup-workers-0", "sup-workers-negative"])
+        "sup-reps", "coverage-epsilon", "bands-n"])
 def test_out_of_range_values_exit_one_without_traceback(tmp_path, capsys, argv):
     out = tmp_path / "out"
     assert main(argv + ["--output", str(out)]) == 1
@@ -396,11 +395,9 @@ def test_experiment_em_constant_deterministic(tmp_path):
             "--reps", "3", "--seed", "21"]
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    c = tmp_path / "c.json"
     assert main(args + ["--output", str(a)]) == 0
     assert main(args + ["--output", str(b)]) == 0
-    assert main(args + ["--workers", "2", "--output", str(c)]) == 0
-    assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+    assert a.read_bytes() == b.read_bytes()
     doc = json.loads(a.read_text())
     assert doc["kind"] == "em-constant"
 
@@ -478,6 +475,21 @@ def test_plotdata_skips_degenerate_locations(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["bands"],
+    ["bands", "--format", "json"],
+    ["regression", "--y-range", "0:1"],
+    ["quantile"],
+    ["plotdata"],
+], ids=["bands", "bands-json", "regression", "quantile", "plotdata"])
+def test_table_commands_note_skipped_locations(tmp_path, capsys, argv):
+    # +-4 has no data in its window at n = 300; the table keeps -2, 0 and 2
+    out = tmp_path / "out"
+    assert main(argv + ["--model", "m1", "--n", "300", "--x-grid=-4:4:5",
+                        "--output", str(out)]) == 0
+    assert capsys.readouterr().err == "note: skipped degenerate locations [-4.0, 4.0]\n"
+
+
 def test_parse_args_round_trip():
     config = parse_args(["bands", "--model", "m2", "--n", "42", "--seed", "8",
                          "--epsilon", "0.3", "--no-clip", "--t-grid", "jumps",
@@ -497,7 +509,7 @@ def test_parse_args_round_trip():
     assert (exp.kernel, exp.bandwidth, exp.order, exp.x_grid) == (
         "epanechnikov", "auto", 1, (-1.0, 1.0, 41)
     )
-    assert (exp.n_list, exp.reps, exp.workers) == ((500,), 100, 1)
+    assert (exp.n_list, exp.reps) == ((500,), 100)
     cov = parse_args(["experiment", "coverage", "--model", "m1", "--output", "out.json"])
     assert cov.epsilon == 0.5
     # coverage compares with the truth only, so it takes order 2; sup does not
@@ -507,8 +519,9 @@ def test_parse_args_round_trip():
 
 
 # The options each experiment kind reads.  Any other experiment option is
-# a usage error; VALUES holds a valid value for every one of them.
-_SUP = ["--model", "--n-list", "--reps", "--seed", "--workers",
+# a usage error; VALUES holds a valid value for every one of them, and for
+# --workers, which no kind reads.
+_SUP = ["--model", "--n-list", "--reps", "--seed",
         "--kernel", "--bandwidth", "--order", "--x-grid", "--output"]
 READS = {
     "sup": _SUP,
@@ -528,7 +541,7 @@ def test_experiment_kinds_parse_only_the_options_they_read(kind):
     config = parse_args(["experiment", kind, "--model", "m1", "--output", "out.json"])
     declared = {opt[2:].replace("-", "_") for opt in READS[kind]}
     assert set(vars(config)) == declared | {"command", "experiment", "runner"}
-    assert len(UNREAD) == 23
+    assert len(UNREAD) == 26
 
 
 @pytest.mark.parametrize("kind,opt", UNREAD, ids=[f"{k}{o}" for k, o in UNREAD])

@@ -20,7 +20,6 @@ from condbands import (
     cdf_estimate,
     get_kernel,
     local_moments,
-    local_responses,
     local_weights,
     quantile_estimate,
     reference_bandwidth,
@@ -35,6 +34,13 @@ GAU = get_kernel("gaussian")
 
 def cfg(kernel=EPA, h=0.5, order=1):
     return EstimatorConfig(kernel=kernel, bandwidth=h, order=order)
+
+
+def _window_mask(fit):
+    """The n-long mask of the observations in the fit's kernel window."""
+    mask = np.zeros(fit.n, dtype=bool)
+    mask[fit.window.index] = True
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +82,7 @@ def test_reference_bandwidth():
 
 
 # ---------------------------------------------------------------------------
-# Local moments and responses
+# Local moments and the response indicator
 # ---------------------------------------------------------------------------
 
 def test_single_point_moment():
@@ -99,26 +105,27 @@ def test_moment_jmax_validation():
     s = Sample(xs=[0.0], ys=[0.0])
     with pytest.raises(ValueError):
         local_moments(s, 0.0, cfg(), jmax=5)
-    with pytest.raises(ValueError):
-        local_responses(s, 0.0, 0.0, cfg(), jmax=3)
 
 
 def test_responses_match_moments_at_extremes():
+    # above every response 1{Y_i <= t} keeps the whole window, so the
+    # estimate is the sum of the weights; below every response it keeps none
     rng = np.random.default_rng(3)
     s = Sample(xs=rng.normal(size=40), ys=rng.random(40))
-    c = cfg(h=0.4)
-    m = local_moments(s, 0.1, c, jmax=2)
-    r_hi = local_responses(s, 0.1, 2.0, c, jmax=2)
-    r_lo = local_responses(s, 0.1, -1.0, c, jmax=2)
-    assert np.allclose(r_hi, m, atol=1e-14)
-    assert np.allclose(r_lo, 0.0)
+    for order in (0, 1, 2):
+        c = cfg(h=0.4, order=order)
+        w = local_weights(s, 0.1, c)
+        assert cdf_estimate(s, 0.1, 2.0, c) == float(w.window_weights.sum())
+        assert cdf_estimate(s, 0.1, 2.0, c) == pytest.approx(1.0, abs=1e-14)
+        assert cdf_estimate(s, 0.1, -1.0, c) == 0.0
 
 
 def test_single_point_response():
+    # the indicator 1{Y_i <= t} counts a response equal to t
     s = Sample(xs=[0.0], ys=[0.3])
     c = cfg(h=0.5, order=0)
-    assert local_responses(s, 0.0, 0.3, c, 0)[0] == pytest.approx(1.5, rel=1e-15)
-    assert local_responses(s, 0.0, 0.29, c, 0)[0] == 0.0
+    assert cdf_estimate(s, 0.0, 0.3, c) == 1.0
+    assert cdf_estimate(s, 0.0, 0.29, c) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +196,7 @@ def test_weight_identities_seeded(order, kernel):
         # no weight outside the kernel window
         assert np.all(w.weights[kernel.eval(u) == 0.0] == 0.0)
         # the fit carries d0(x) and the curve the public functions return
-        assert np.array_equal(w.in_window, kernel.eval(u) > 0.0)
+        assert np.array_equal(_window_mask(w), kernel.eval(u) > 0.0)
         assert w.density == local_moments(s, x, c, jmax=0)[0]
         for monotonize in (False, True):
             ours, public = w.curve(s, monotonize), cdf_curve(s, x, c, monotonize)
@@ -267,7 +274,7 @@ def test_window_is_exactly_the_kernel_support(kernel, order, offset):
         fit = local_weights(s, x, c)
         support = kernel.eval((x - s.xs) / h) > 0.0
         assert np.array_equal(np.sort(fit.window.index), np.flatnonzero(support))
-        assert np.array_equal(fit.in_window, support)
+        assert np.array_equal(_window_mask(fit), support)
         w, d0 = _direct_fit(s, x, c)
         assert np.max(np.abs(fit.weights - w)) <= 1e-12
         assert abs(fit.density - d0) <= 1e-12 * max(1.0, d0)

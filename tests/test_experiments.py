@@ -1,6 +1,7 @@
 import json
 import math
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from condbands import (
     em_constant_experiment,
     get_kernel,
     marginal_density,
-    normalized_sup_statistic,
     oracle_density_provider,
     quantile_band,
     reference_bandwidth,
@@ -33,12 +33,16 @@ from condbands import (
     sim_model,
     smoothed_moment,
     smoothed_response,
-    sup_deviation_statistic,
     sup_experiment,
     true_cdf,
 )
 from condbands.bands import fit_grid
-from condbands.experiments import band_normalized_sup, step_sup_deviation
+from condbands.experiments import (
+    _location_deviations,
+    _sup_scale,
+    band_normalized_sup,
+    step_sup_deviation,
+)
 
 EPA = get_kernel("epanechnikov")
 UNI = get_kernel("uniform")
@@ -49,6 +53,22 @@ PHI_1 = math.exp(-0.5) / math.sqrt(2.0 * math.pi)
 
 def cfg(kernel=EPA, h=0.3, order=1):
     return EstimatorConfig(kernel=kernel, bandwidth=h, order=order)
+
+
+def _sup_statistic(sample, model, c, grid, reference):
+    """Sup over the grid and all t of |estimate - reference| / L(x), the
+    statistic of sup_experiment; ``reference`` is None for the truth and p
+    for the order-p centering."""
+    (devs,), halves, _ = _location_deviations(sample, model, c, grid, (reference,), {})
+    return band_normalized_sup(devs, halves)
+
+
+def _em_statistic(sample, model, c, grid, order):
+    """sqrt(n h / log(1/h)) times the sup deviation of the order-``order``
+    fit from its centering, the statistic of em_constant_experiment."""
+    c_order = replace(c, order=order)
+    (devs,), _, _ = _location_deviations(sample, model, c_order, grid, (order,), {})
+    return _sup_scale(sample.n, c.bandwidth) * float(devs.max())
 
 
 # ---------------------------------------------------------------------------
@@ -228,18 +248,9 @@ def test_sup_statistic_permutation_invariant():
     shuffled = Sample(xs=sample.xs[perm], ys=sample.ys[perm])
     c = cfg(h=reference_bandwidth(400))
     grid = np.linspace(-1, 1, 11)
-    a = sup_deviation_statistic(sample, M1, c, grid)
-    b = sup_deviation_statistic(shuffled, M1, c, grid)
+    a = _sup_statistic(sample, M1, c, grid, None)
+    b = _sup_statistic(shuffled, M1, c, grid, None)
     assert a == pytest.approx(b, rel=1e-12)
-
-
-def test_sup_statistic_reference_validation():
-    sample = draw(M1, 100, 1)
-    with pytest.raises(ValueError):
-        sup_deviation_statistic(sample, M1, cfg(), reference="oracle")
-    # rejected before any fit, also on a grid where every fit is degenerate
-    with pytest.raises(ValueError):
-        sup_deviation_statistic(sample, M1, cfg(), [50.0], reference="oracle")
 
 
 def _recomputed_sups(model, sample, c, grid, order):
@@ -272,8 +283,8 @@ def test_sup_statistic_equals_a_per_location_recomputation(model, order):
         for r in range(reps):
             sample = draw(model, n, np.random.SeedSequence(seed, spawn_key=(r,)))
             total, stoch = _recomputed_sups(model, sample, c, grid, order)
-            assert sup_deviation_statistic(sample, model, c, grid, "true") == total
-            assert sup_deviation_statistic(sample, model, c, grid, "centering") == stoch
+            assert _sup_statistic(sample, model, c, grid, None) == total
+            assert _sup_statistic(sample, model, c, grid, order) == stoch
             totals.append(total)
             stochs.append(stoch)
         summary = sup_experiment(model, n, reps, c, grid, seed=seed).summaries[0]
@@ -377,7 +388,7 @@ def test_em_constant_with_order0_only_locations_equals_a_recomputation():
 def test_normalized_sup_statistic_positive():
     sample = draw(M1, 500, 3)
     c = EstimatorConfig(kernel=EPA, bandwidth=reference_bandwidth(500), order=0)
-    val = normalized_sup_statistic(sample, M1, c, order=0)
+    val = _em_statistic(sample, M1, c, default_x_grid(), 0)
     assert val > 0.0
 
 
@@ -655,7 +666,7 @@ def test_em_constant_matches_separate_fits_per_order():
         for order in (0, 1):
             c_order = EstimatorConfig(kernel=EPA, bandwidth=c.bandwidth, order=order)
             skipped[order] += len(fit_grid(sample, grid, c_order, lambda x, fit, half: None)[1])
-            stats[order].append(normalized_sup_statistic(sample, M1, c, grid, order=order))
+            stats[order].append(_em_statistic(sample, M1, c, grid, order))
     summary = em.summaries[0]
     assert skipped[1] > skipped[0]
     assert summary["skipped_locations"] == skipped[0] + skipped[1]

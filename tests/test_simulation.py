@@ -19,7 +19,7 @@ from condbands import (
     true_regression,
 )
 from condbands.experiments import _gl_nodes
-from condbands.simulation import prepare_weighted_cdf, weighted_cdf
+from condbands.simulation import prepare_weighted_cdf
 
 M1 = sim_model("m1")
 M2 = sim_model("m2")
@@ -126,18 +126,19 @@ def test_weighted_cdf_is_the_weighted_sum_of_grid_rows(kind, support, rows):
         zs[::7], -zs[3::11], np.linspace(-3.0, 3.0, 61),
     ))
     weights = np.random.default_rng(rows).standard_normal((rows, zs.size))
-    got = weighted_cdf(model, zs, weights, ts)
+    got = prepare_weighted_cdf(model, zs, weights)(ts)
     want = weights @ true_cdf_grid(model, zs, ts)
     assert got.shape == want.shape == (rows, ts.size)
     scale = np.abs(weights).sum(axis=1, keepdims=True)
     assert np.all(np.abs(got - want) <= 1e-14 * scale)
-    assert weighted_cdf(model, zs, weights, []).shape == (rows, 0)
+    assert prepare_weighted_cdf(model, zs, weights)([]).shape == (rows, 0)
 
 
 @pytest.mark.parametrize("kind", ["m1", "m2"])
 def test_prepared_weighted_cdf_is_weighted_cdf_at_every_evaluation(kind):
     # one prepared node set, evaluated at several response-point arrays in
-    # turn, gives weighted_cdf's bits each time: evaluation mutates nothing
+    # turn, gives a freshly prepared set's bits each time: evaluation
+    # mutates nothing
     model = sim_model(kind)
     u, _ = _gl_nodes((-1.0, 1.0))
     zs = np.concatenate((0.2 - 0.3 * u, [0.0, 0.35]))
@@ -147,10 +148,10 @@ def test_prepared_weighted_cdf_is_weighted_cdf_at_every_evaluation(kind):
     prepared = prepare_weighted_cdf(model, zs, weights)
     for points in (ts, np.array([]), ts[::-1], [0.35, -0.2], ts[:3], ts):
         got = prepared(points)
-        want = weighted_cdf(model, zs, weights, points)
+        want = prepare_weighted_cdf(model, zs, weights)(points)
         assert got.shape == (2, len(points))
         assert got.tobytes() == want.tobytes()
-    assert prepared(ts).tobytes() == weighted_cdf(model, zs_before, weights_before, ts).tobytes()
+    assert prepared(ts).tobytes() == prepare_weighted_cdf(model, zs_before, weights_before)(ts).tobytes()
     assert zs.tobytes() == zs_before.tobytes() and weights.tobytes() == weights_before.tobytes()
 
 
@@ -163,9 +164,10 @@ def test_weighted_cdf_rows_do_not_depend_on_the_other_rows(kind):
     zs = 0.4 - 0.25 * u
     weights = np.random.default_rng(5).standard_normal((3, zs.size))
     ts = np.linspace(-0.2, 1.2, 301)
-    rows = weighted_cdf(model, zs, weights, ts)
+    rows = prepare_weighted_cdf(model, zs, weights)(ts)
     for i in range(3):
-        assert rows[i].tobytes() == weighted_cdf(model, zs, weights[i : i + 1], ts)[0].tobytes()
+        alone = prepare_weighted_cdf(model, zs, weights[i : i + 1])(ts)[0]
+        assert rows[i].tobytes() == alone.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["m1", "m2"])
