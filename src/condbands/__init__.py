@@ -11,54 +11,11 @@ from .errors import (
     YRangeViolation,
     ZeroJointDensity,
 )
-from .kernels import KERNELS, Kernel, get_kernel
-from .estimator import (
-    CdfCurve,
-    EstimatorConfig,
-    LocalWeights,
-    Sample,
-    cdf_curve,
-    cdf_estimate,
-    local_moments,
-    local_weights,
-    quantile_estimate,
-    reference_bandwidth,
-    regression_estimate,
-)
-from .bands import (
-    BandTable,
-    DensityPair,
-    band_halfwidth,
-    cdf_band,
-    certainty_halfwidth,
-    density_plugin,
-    quantile_band,
-    regression_band,
-)
-from .simulation import (
-    SimModel,
-    draw,
-    draw_conditional,
-    marginal_density,
-    oracle_density_provider,
-    sim_model,
-    true_cdf,
-    true_cdf_grid,
-    true_densities,
-    true_quantile,
-    true_regression,
-)
-from .experiments import (
-    ExperimentReport,
-    bochner_check,
-    centering_curve,
-    centering_oracle,
-    coverage_experiment,
-    default_x_grid,
-    em_constant_experiment,
-    smoothed_moment,
-    smoothed_response,
-    sup_experiment,
-)
+# the ``__all__`` of each module below is its list of public names
+from .kernels import *
+from .estimator import *
+from .bands import *
+from .simulation import *
+from .experiments import *
 
 __version__ = "0.1.0"

@@ -33,6 +33,7 @@ from .estimator import (
     EstimatorConfig,
     LocalWeights,
     Sample,
+    _check_open_unit,
     kernel_window,
     local_moments,
     local_weights,
@@ -142,12 +143,13 @@ def write_csv(
 def certainty_halfwidth(
     l2_norm_sq: float, bandwidth: float, n: int, density_at_x: float
 ) -> float:
-    """The half-width formula on raw inputs; validates h and the density."""
-    if not 0.0 < bandwidth < 1.0:
-        raise InvalidBandwidth(
-            f"half-width needs log(1/h) > 0, got bandwidth {bandwidth!r}"
-        )
-    if density_at_x <= _DENSITY_TOL:
+    """The half-width formula on raw inputs; validates h, n, |K|_2^2 and the density."""
+    _check_open_unit("bandwidth", bandwidth, InvalidBandwidth)
+    if not n >= 1:
+        raise ValueError(f"n must be >= 1, got {n!r}")
+    if not l2_norm_sq > 0.0:
+        raise ValueError(f"l2_norm_sq must be positive, got {l2_norm_sq!r}")
+    if not density_at_x > _DENSITY_TOL:
         raise InsufficientLocalData(
             f"design density estimate {density_at_x:.3e} too small for a band"
         )
@@ -177,6 +179,8 @@ def fit_grid(
     x_grid = np.asarray(x_grid, dtype=float)
     if x_grid.size == 0:
         raise ValueError("x_grid must not be empty")
+    if x_grid.ndim != 1:
+        raise ValueError(f"x_grid must be one-dimensional, got shape {x_grid.shape}")
     kept, skipped = [], []
     for x in x_grid:
         try:
@@ -244,6 +248,8 @@ def cdf_band(
         t_grid = np.asarray(t_grid, dtype=float)
         if t_grid.size == 0:
             raise ValueError("t_grid must not be empty")
+        if t_grid.ndim != 1:
+            raise ValueError(f"t_grid must be one-dimensional, got shape {t_grid.shape}")
         if np.isnan(t_grid).any():
             raise ValueError("t_grid must not contain NaN")
         # Y_i <= t_(j) exactly when j >= bins[i], for the j-th smallest t, so
@@ -295,6 +301,8 @@ def regression_band(
 ) -> BandTable:
     """Regression band m_hat(x) +/- (b - a) * L(x) for responses in [a, b]."""
     a, b = float(y_range[0]), float(y_range[1])
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"y_range must be finite, got ({a}, {b})")
     if not a < b:
         raise ValueError(f"y_range must satisfy a < b, got ({a}, {b})")
     if sample.y_range[0] < a or sample.y_range[1] > b:
@@ -326,8 +334,7 @@ def quantile_band(
     maximum clipped to [0, 1]) does, so inverting the raw curve gives the
     quantile of either.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    _check_open_unit("alpha", alpha)
     sources = []
 
     def row(x, fit, half_l):

@@ -466,6 +466,15 @@ def _svg_polyline(ts, vals, box, t_lim, v_lim, color, dash=None):
     )
 
 
+# (stroke, dash) of each plotdata series, in the order the SVG draws them
+_SVG_STYLES = {
+    "lower": ("#7aa6c2", None),
+    "upper": ("#7aa6c2", None),
+    "estimate": ("#222", None),
+    "truth": ("#c23b22", "4 3"),
+}
+
+
 def _write_svg(path, panels):
     width, panel_h, margin = 640, 150, 30
     height = margin + len(panels) * (panel_h + margin)
@@ -473,32 +482,24 @@ def _write_svg(path, panels):
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">'
     ]
-    for i, panel in enumerate(panels):
+    for i, (x, ts, series) in enumerate(panels):
         y0 = margin + i * (panel_h + margin)
         box = (60, y0, width - 90, panel_h)
-        ts = panel["ts"]
-        series = [panel["lower"], panel["upper"], panel["estimate"]]
-        if panel.get("truth") is not None:
-            series.append(panel["truth"])
-        v_min = min(float(np.min(s)) for s in series)
-        v_max = max(float(np.max(s)) for s in series)
+        values = np.concatenate(list(series.values()))
         t_lim = (float(ts[0]), float(ts[-1]))
-        v_lim = (min(v_min, 0.0), max(v_max, 1.0))
+        v_lim = (min(float(values.min()), 0.0), max(float(values.max()), 1.0))
         parts.append(
             f'<rect x="{box[0]}" y="{box[1]}" width="{box[2]}" height="{box[3]}" '
             'fill="none" stroke="#999"/>'
         )
         parts.append(
             f'<text x="{box[0]}" y="{box[1] - 8}" font-size="12" '
-            f'font-family="sans-serif">x = {panel["x"]:.4g}</text>'
+            f'font-family="sans-serif">x = {x:.4g}</text>'
         )
-        parts.append(_svg_polyline(ts, panel["lower"], box, t_lim, v_lim, "#7aa6c2"))
-        parts.append(_svg_polyline(ts, panel["upper"], box, t_lim, v_lim, "#7aa6c2"))
-        parts.append(_svg_polyline(ts, panel["estimate"], box, t_lim, v_lim, "#222"))
-        if panel.get("truth") is not None:
-            parts.append(
-                _svg_polyline(ts, panel["truth"], box, t_lim, v_lim, "#c23b22", dash="4 3")
-            )
+        parts.extend(
+            _svg_polyline(ts, series[name], box, t_lim, v_lim, *style)
+            for name, style in _SVG_STYLES.items() if name in series
+        )
     parts.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(parts))
@@ -526,28 +527,23 @@ def _cmd_plotdata(config: argparse.Namespace) -> int:
         starts = np.flatnonzero(table.t == sample.ys.min())
     else:
         starts = np.arange(0, len(table), t_grid.size)
+    # (x, ts, {series name: values}) per location, in CSV row order
     panels = []
-    rows = []
     for block in np.split(np.arange(len(table)), starts[1:]):
         x = float(table.x[block[0]])
         ts = table.t[block]
-        est, lower, upper = table.estimate[block], table.lower[block], table.upper[block]
-        truth = true_cdf(model, x, ts) if model is not None else None
-        for name, vals in (("estimate", est), ("lower", lower), ("upper", upper)):
-            for t, v in zip(ts, vals):
-                rows.append((x, float(t), name, float(v)))
-        if truth is not None:
-            for t, v in zip(ts, truth):
-                rows.append((x, float(t), "truth", float(v)))
-        panels.append(
-            {"x": x, "ts": ts, "estimate": est, "lower": lower,
-             "upper": upper, "truth": truth}
-        )
+        series = {name: getattr(table, name)[block] for name in ("estimate", "lower", "upper")}
+        if model is not None:
+            series["truth"] = true_cdf(model, x, ts)
+        panels.append((x, ts, series))
     with open(config.output, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "t", "series", "value"])
-        for row in rows:
-            writer.writerow([repr(row[0]), repr(row[1]), row[2], repr(row[3])])
+        for x, ts, series in panels:
+            for name, vals in series.items():
+                writer.writerows(
+                    [repr(x), repr(float(t)), name, repr(float(v))] for t, v in zip(ts, vals)
+                )
     if config.svg:
         _write_svg(config.svg, panels)
     return 0

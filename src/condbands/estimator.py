@@ -54,6 +54,12 @@ __all__ = [
 _DENOM_TOL = 1e-12
 
 
+def _check_open_unit(name: str, value, error=ValueError) -> None:
+    """Raise ``error`` unless ``value`` lies in the open interval (0, 1)."""
+    if not 0.0 < value < 1.0:
+        raise error(f"{name} must lie in (0, 1), got {value!r}")
+
+
 @dataclass(frozen=True)
 class Sample:
     """Paired observations (xs[i], ys[i]), stored as read-only float arrays."""
@@ -155,10 +161,7 @@ class EstimatorConfig:
     order: int = 1
 
     def __post_init__(self):
-        if not 0.0 < self.bandwidth < 1.0:
-            raise InvalidBandwidth(
-                f"bandwidth must lie in (0, 1), got {self.bandwidth!r}"
-            )
+        _check_open_unit("bandwidth", self.bandwidth, InvalidBandwidth)
         if self.order not in (0, 1, 2):
             raise ValueError(f"order must be 0, 1 or 2, got {self.order!r}")
 
@@ -195,9 +198,6 @@ class LocalWeights:
     window_weights: np.ndarray = field(repr=False, compare=False)
     density: float
     n: int
-    # sum_i u_i^j K(u_i) for j = 0..2*order, kept so that another order can
-    # be fitted on the same window without recomputing them
-    _sums: np.ndarray = field(repr=False, compare=False)
 
     @property
     def weights(self) -> np.ndarray:
@@ -207,13 +207,10 @@ class LocalWeights:
         return w
 
     def at_order(self, order: int) -> LocalWeights:
-        """The fit of ``order`` on the same window, reusing its moments."""
+        """The fit of ``order`` on the same window."""
         if order not in (0, 1, 2):
             raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
-        win, sums = self.window, self._sums
-        if sums.size <= 2 * order:
-            sums = _power_sums(win.u, win.k, 2 * order)
-        return _fit(self.x, win, sums, order, self.n)
+        return _fit(self.x, self.window, order, self.n)
 
     def curve(self, sample: Sample, monotonize: bool = True) -> CdfCurve:
         """Estimated conditional distribution curve of this fit.
@@ -366,7 +363,8 @@ def _weight_vector(u, k, nh, order, sums):
     return (a1 + a2 * u + a3 * u * u) * k / (nh * denom)
 
 
-def _fit(x: float, win: KernelWindow, sums: np.ndarray, order: int, n: int) -> LocalWeights:
+def _fit(x: float, win: KernelWindow, order: int, n: int) -> LocalWeights:
+    sums = _power_sums(win.u, win.k, 2 * order)
     return LocalWeights(
         x=x,
         order=order,
@@ -374,14 +372,12 @@ def _fit(x: float, win: KernelWindow, sums: np.ndarray, order: int, n: int) -> L
         window_weights=_weight_vector(win.u, win.k, win.nh, order, sums),
         density=float(sums[0]) / win.nh,
         n=n,
-        _sums=sums,
     )
 
 
 def local_weights(sample: Sample, x: float, cfg: EstimatorConfig) -> LocalWeights:
     """The local polynomial fit at ``x``: window, weights and d0(x)."""
-    win = kernel_window(sample, x, cfg)
-    return _fit(float(x), win, _power_sums(win.u, win.k, 2 * cfg.order), cfg.order, sample.n)
+    return _fit(float(x), kernel_window(sample, x, cfg), cfg.order, sample.n)
 
 
 def cdf_estimate(sample: Sample, x: float, t: float, cfg: EstimatorConfig) -> float:
@@ -407,8 +403,7 @@ def quantile_estimate(curve: CdfCurve, alpha: float) -> float:
 
     Returns the smallest jump point whose curve value reaches alpha.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    _check_open_unit("alpha", alpha)
     hits = np.nonzero(curve.values >= alpha)[0]
     if hits.size == 0:
         raise NoCrossing(f"curve never reaches level {alpha}")

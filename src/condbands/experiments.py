@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InsufficientLocalData, InvalidBandwidth, QuadratureFailure
-from .estimator import EstimatorConfig, _power_sums, _weight_vector
+from .estimator import EstimatorConfig, _check_open_unit, _power_sums, _weight_vector
 from .bands import fit_grid
 from .kernels import Kernel
 from .simulation import (
@@ -101,8 +101,7 @@ def _smoothed(model, kernel, h, x, j, t=None):
     # about 0.6 s and 44 MB, and nothing else in the package needs it.
     from scipy.integrate import quad
 
-    if not 0.0 < h < 1.0:
-        raise InvalidBandwidth(f"bandwidth must lie in (0, 1), got {h!r}")
+    _check_open_unit("bandwidth", h, InvalidBandwidth)
     a, b = kernel.support if kernel.support is not None else (-np.inf, np.inf)
 
     def integrand(u):
@@ -195,8 +194,7 @@ def centering_curve(
     :func:`centering_oracle` in the tests.
     """
     order = _centering_order(order)
-    if not 0.0 < h < 1.0:
-        raise InvalidBandwidth(f"bandwidth must lie in (0, 1), got {h!r}")
+    _check_open_unit("bandwidth", h, InvalidBandwidth)
     return _centering(model, x, kernel, h, (order,))(ts)[0]
 
 
@@ -443,8 +441,7 @@ def coverage_experiment(
     corresponds to 1 - epsilon.
     """
     _check_experiment_args(n, reps, workers)
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    _check_open_unit("epsilon", epsilon)
     grid = _as_grid(x_grid)
 
     def stat(sample):
@@ -487,10 +484,12 @@ def bochner_check(
     hs = [float(h) for h in h_sequence]
     if not hs:
         raise ValueError("h_sequence must not be empty")
-    if any(not 0.0 < h < 1.0 for h in hs):
-        raise InvalidBandwidth("every bandwidth must lie in (0, 1)")
+    for h in hs:
+        _check_open_unit("bandwidth", h, InvalidBandwidth)
     if any(b >= a for a, b in zip(hs, hs[1:])):
         raise ValueError("h_sequence must be strictly decreasing")
+    if not (math.isfinite(x) and math.isfinite(t)):
+        raise ValueError(f"x and t must be finite, got x = {x!r}, t = {t!r}")
 
     fx = marginal_density(model, x)
     # report key: (power j of u, response point or None, limit as h -> 0)
@@ -553,6 +552,8 @@ def em_constant_experiment(
     """
     _check_experiment_args(n, reps, workers)
     a, b = float(interval[0]), float(interval[1])
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"interval must be finite, got ({a}, {b})")
     if not a < b:
         raise ValueError(f"interval must satisfy a < b, got ({a}, {b})")
     grid = _as_grid(x_grid, (a, b))

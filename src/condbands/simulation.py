@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bands import DensityPair
-from .estimator import Sample
+from .estimator import Sample, _check_open_unit
 
 __all__ = [
     "MODEL_KINDS",
@@ -179,8 +179,7 @@ def cdf_kinks(model: SimModel, t: float) -> tuple[float, ...]:
 
 def true_quantile(model: SimModel, x: float, alpha: float) -> float:
     """Conditional quantile of level alpha; the generalized inverse at x."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    _check_open_unit("alpha", alpha)
     return _y_from_uniform(model.kind, x, alpha)
 
 

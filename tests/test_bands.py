@@ -63,12 +63,18 @@ def test_halfwidth_scaling_in_density():
 
 
 def test_halfwidth_validation():
-    with pytest.raises(InvalidBandwidth):
+    with pytest.raises(InvalidBandwidth, match=r"bandwidth must lie in \(0, 1\), got 1.0"):
         certainty_halfwidth(0.6, 1.0, 100, 0.4)
     with pytest.raises(InvalidBandwidth):
         certainty_halfwidth(0.6, 1.5, 100, 0.4)
-    with pytest.raises(InsufficientLocalData):
-        certainty_halfwidth(0.6, 0.3, 100, 0.0)
+    for density in (0.0, math.nan):
+        with pytest.raises(InsufficientLocalData):
+            certainty_halfwidth(0.6, 0.3, 100, density)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        certainty_halfwidth(0.6, 0.3, 0, 0.4)
+    for l2 in (-0.6, 0.0, math.nan):
+        with pytest.raises(ValueError, match="l2_norm_sq must be positive"):
+            certainty_halfwidth(l2, 0.3, 100, 0.4)
 
 
 def test_band_halfwidth_on_model_sample():
@@ -266,6 +272,9 @@ def test_cdf_band_rejects_nan_t():
     s = draw(M1, 300, 3)
     with pytest.raises(ValueError, match="NaN"):
         cdf_band(s, [0.0], [0.2, np.nan, 0.8], cfg())
+    for t_grid in (0.5, [[0.2, 0.5]]):
+        with pytest.raises(ValueError, match="t_grid must be one-dimensional"):
+            cdf_band(s, [0.0], t_grid, cfg())
     # infinite response points are legal: the curve is 0 and 1 there
     table = cdf_band(s, [0.0], [-np.inf, np.inf], cfg(), clip=False)
     assert table.estimate.tolist() == [0.0, pytest.approx(1.0)]
@@ -313,6 +322,9 @@ def test_regression_band_y_range_violation():
         regression_band(sample, [0.0], cfg(), y_range=(0.2, 1.0))
     with pytest.raises(ValueError):
         regression_band(sample, [0.0], cfg(), y_range=(1.0, 0.0))
+    for y_range in ((-math.inf, math.inf), (0.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="y_range must be finite"):
+            regression_band(sample, [0.0], cfg(), y_range=y_range)
 
 
 def test_regression_band_tracks_truth():

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -448,6 +449,36 @@ def test_plotdata_long_format_and_svg(tmp_path):
     assert len(lines) - 1 == 3 * 21 * 4
     root = ET.parse(svg).getroot()
     assert root.tag.endswith("svg")
+
+
+# SHA-256 of plotdata's CSV and SVG for two small runs.  The uniform kernel at
+# order 0, a fixed bandwidth and m2's piecewise-linear conditional law keep the
+# values to plain arithmetic, so the bytes should not depend on the platform.
+PLOTDATA_DIGESTS = {
+    # m2 with its truth series, a decreasing explicit t grid and no clipping
+    "model": ("7c71771ecee015d3c552310af8cc490acc4b8ed96614ebc92f39db00df8b82b9",
+              "85d83a094f0d2287f699af74a85f2ef4962c8e63c254b42f804a33671670395f"),
+    # a CSV sample without truth, jump grids and two skipped locations
+    "input": ("7257fe3aee598bce2ade901b0afc2c424a50287e144b076245ee1b858e343e3f",
+              "5081bbfcf88a83f12298398d3ce6e0f7a6a74402ac223927d05b09017f919899"),
+}
+
+
+@pytest.mark.parametrize("source", PLOTDATA_DIGESTS)
+def test_plotdata_csv_and_svg_bytes_are_pinned(tmp_path, source):
+    fit = ["--kernel", "uniform", "--order", "0", "--bandwidth", "0.5"]
+    if source == "model":
+        argv = ["--model", "m2", "--n", "60", "--seed", "3", "--x-grid=-0.5:0.5:3",
+                "--t-grid=0.5:-0.5:3", "--no-clip"]
+    else:
+        sample = tmp_path / "s.csv"
+        assert main(["simulate", "--model", "m2", "--n", "30", "--seed", "4",
+                     "--output", str(sample)]) == 0
+        argv = ["--input", str(sample), "--x-grid=-6:6:3", "--t-grid", "jumps"]
+    out, svg = tmp_path / "plot.csv", tmp_path / "plot.svg"
+    assert main(["plotdata", *argv, *fit, "--svg", str(svg), "--output", str(out)]) == 0
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, svg))
+    assert digests == PLOTDATA_DIGESTS[source]
 
 
 def test_plotdata_file_input_has_no_truth(tmp_path):

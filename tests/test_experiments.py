@@ -437,6 +437,11 @@ def test_bochner_check_validation():
         bochner_check(M1, 0.0, (0.1, 0.4), EPA)  # not decreasing
     with pytest.raises(InvalidBandwidth):
         bochner_check(M1, 0.0, (1.2, 0.4), EPA)
+    with pytest.raises(InvalidBandwidth, match=r"bandwidth must lie in \(0, 1\), got 1.2"):
+        bochner_check(M1, 0.0, (1.2, 0.4), EPA)
+    for x, t in ((math.nan, 0.5), (math.inf, 0.5), (0.0, -math.inf)):
+        with pytest.raises(ValueError, match="x and t must be finite"):
+            bochner_check(M1, x, (0.3,), EPA, t=t)
 
 
 # ---------------------------------------------------------------------------
@@ -685,22 +690,32 @@ def test_em_constant_references():
     assert {"order0", "order1"} <= set(report.summaries[0])
     with pytest.raises(ValueError):
         em_constant_experiment(M1, 200, 2, c0, interval=(1.0, -1.0))
+    for interval in ((-math.inf, 1.0), (-1.0, math.nan)):
+        with pytest.raises(ValueError, match="interval must be finite"):
+            em_constant_experiment(M1, 200, 2, c0, interval=interval)
 
 
 EMPTY_GRID_CALLS = {
-    "cdf_band": lambda s, c: cdf_band(s, [], "jumps", c),
-    "regression_band": lambda s, c: regression_band(s, [], c, (0.0, 1.0)),
-    "quantile_band": lambda s, c: quantile_band(s, [], 0.5, c, oracle_density_provider(M1)),
-    "sup_experiment": lambda s, c: sup_experiment(M1, 100, 1, c, x_grid=[]),
-    "coverage_experiment": lambda s, c: coverage_experiment(M1, 100, 1, 0.5, c, x_grid=[]),
-    "em_constant_experiment": lambda s, c: em_constant_experiment(M1, 100, 1, c, x_grid=[]),
+    "cdf_band": lambda s, c, g: cdf_band(s, g, "jumps", c),
+    "regression_band": lambda s, c, g: regression_band(s, g, c, (0.0, 1.0)),
+    "quantile_band": lambda s, c, g: quantile_band(s, g, 0.5, c, oracle_density_provider(M1)),
+    "sup_experiment": lambda s, c, g: sup_experiment(M1, 100, 1, c, x_grid=g),
+    "coverage_experiment": lambda s, c, g: coverage_experiment(M1, 100, 1, 0.5, c, x_grid=g),
+    "em_constant_experiment": lambda s, c, g: em_constant_experiment(M1, 100, 1, c, x_grid=g),
 }
 
 
 @pytest.mark.parametrize("entry", EMPTY_GRID_CALLS)
 def test_empty_grid_is_a_value_error_at_every_entry_point(entry):
     with pytest.raises(ValueError, match="x_grid must not be empty"):
-        EMPTY_GRID_CALLS[entry](draw(M1, 100, 1), cfg())
+        EMPTY_GRID_CALLS[entry](draw(M1, 100, 1), cfg(), [])
+
+
+@pytest.mark.parametrize("grid", [0.0, [[0.0, 0.5]]], ids=["scalar", "2d"])
+@pytest.mark.parametrize("entry", EMPTY_GRID_CALLS)
+def test_grid_of_another_shape_is_a_value_error_at_every_entry_point(entry, grid):
+    with pytest.raises(ValueError, match="x_grid must be one-dimensional"):
+        EMPTY_GRID_CALLS[entry](draw(M1, 100, 1), cfg(), grid)
 
 
 def test_report_json_is_sorted_and_plain():
