@@ -171,9 +171,10 @@ def fit_grid(
 ) -> tuple[list, list[float]]:
     """Fit each grid location once and keep ``reduce(x, fit, L(x))``.
 
-    L(x) comes from the fit's own d0(x).  Locations whose fit or half-width
-    is degenerate are skipped; returns the kept reductions in grid order and
-    the skipped locations.  Only the reductions are kept, not the fits, so
+    L(x) comes from the fit's own d0(x).  Locations whose fit, half-width or
+    reduction is degenerate (``InsufficientLocalData``, ``ZeroJointDensity``)
+    are skipped; returns the kept reductions in grid order and the skipped
+    locations.  Only the reductions are kept, not the fits, so
     memory does not grow with the grid.
     """
     x_grid = np.asarray(x_grid, dtype=float)
@@ -188,22 +189,22 @@ def fit_grid(
             half = certainty_halfwidth(
                 cfg.kernel.l2_norm_sq, cfg.bandwidth, sample.n, fit.density
             )
-        except InsufficientLocalData:
+            kept.append(reduce(x, fit, half))
+        except (InsufficientLocalData, ZeroJointDensity):
             skipped.append(float(x))
-            continue
-        kept.append(reduce(x, fit, half))
     if not kept:
         raise InsufficientLocalData("every grid location had a degenerate local fit")
     return kept, skipped
 
 
-def _common_metadata(sample: Sample, cfg: EstimatorConfig, kind: str) -> dict:
+def _common_metadata(sample: Sample, cfg: EstimatorConfig, kind: str, skipped: list) -> dict:
     return {
         "kind": kind,
         "order": cfg.order,
         "kernel": cfg.kernel.name,
         "bandwidth": cfg.bandwidth,
         "n": sample.n,
+        "skipped_locations": skipped,
     }
 
 
@@ -221,22 +222,13 @@ def _point_table(rows, meta: dict) -> BandTable:
     )
 
 
-def cdf_band(
-    sample: Sample,
-    x_grid: Sequence[float],
-    t_grid,
-    cfg: EstimatorConfig,
-    epsilon: float = 0.0,
-    clip: bool = True,
-) -> BandTable:
-    """Distribution band of half-width (1 + epsilon) * L(x) per location.
+def cdf_blocks(
+    sample: Sample, x_grid: Sequence[float], t_grid, cfg: EstimatorConfig,
+    epsilon: float = 0.0, clip: bool = True,
+) -> tuple[list, list[float]]:
+    """Rows of :func:`cdf_band`, one block per kept location, and the skipped locations.
 
-    ``t_grid`` is either an explicit array of response values or the
-    string "jumps", which evaluates each curve at its own jump points.
-    Estimates come from the raw (non-monotonized) curve.  With ``clip``
-    the interval is intersected with [0, 1]; estimates are reported as-is.
-    Locations where the local fit is degenerate are skipped and recorded
-    in the metadata.
+    A block is the tuple of arrays (x, t, estimate, halfwidth, lower, upper).
     """
     if not 0.0 <= epsilon < 1.0:
         raise ValueError(f"epsilon must lie in [0, 1), got {epsilon!r}")
@@ -277,17 +269,31 @@ def cdf_band(
         size = t_here.size
         return (np.full(size, x), t_here, e_here, np.full(size, half), lo_here, up_here)
 
-    blocks, skipped = fit_grid(sample, x_grid, cfg, block)
+    return fit_grid(sample, x_grid, cfg, block)
+
+
+def cdf_band(
+    sample: Sample,
+    x_grid: Sequence[float],
+    t_grid,
+    cfg: EstimatorConfig,
+    epsilon: float = 0.0,
+    clip: bool = True,
+) -> BandTable:
+    """Distribution band of half-width (1 + epsilon) * L(x) per location.
+
+    ``t_grid`` is either an explicit array of response values or the
+    string "jumps", which evaluates each curve at its own jump points.
+    Estimates come from the raw (non-monotonized) curve.  With ``clip``
+    the interval is intersected with [0, 1]; estimates are reported as-is.
+    Locations where the local fit is degenerate are skipped and recorded
+    in the metadata.
+    """
+    blocks, skipped = cdf_blocks(sample, x_grid, t_grid, cfg, epsilon, clip)
     xs, ts, est, hw, lo, up = (np.concatenate(col) for col in zip(*blocks))
-    meta = _common_metadata(sample, cfg, "cdf")
-    meta.update(
-        {
-            "epsilon": epsilon,
-            "clipped": clip,
-            "t_grid": "jumps" if use_jumps else "explicit",
-            "skipped_locations": skipped,
-        }
-    )
+    meta = _common_metadata(sample, cfg, "cdf", skipped)
+    t_mode = "jumps" if isinstance(t_grid, str) else "explicit"
+    meta.update({"epsilon": epsilon, "clipped": clip, "t_grid": t_mode})
     return BandTable(
         x=xs, t=ts, estimate=est, halfwidth=hw, lower=lo, upper=up, metadata=meta
     )
@@ -314,8 +320,8 @@ def regression_band(
         return float(x), fit.regression(sample), (b - a) * half_l
 
     rows, skipped = fit_grid(sample, x_grid, cfg, row)
-    meta = _common_metadata(sample, cfg, "regression")
-    meta.update({"y_range": [a, b], "skipped_locations": skipped})
+    meta = _common_metadata(sample, cfg, "regression", skipped)
+    meta["y_range"] = [a, b]
     return _point_table(rows, meta)
 
 
@@ -332,7 +338,8 @@ def quantile_band(
     estimated quantile.  For alpha in (0, 1) the first point where the raw
     curve reaches alpha is the first where its monotonized form (running
     maximum clipped to [0, 1]) does, so inverting the raw curve gives the
-    quantile of either.
+    quantile of either.  A location whose fit is degenerate or whose
+    density pair is not positive is skipped and recorded in the metadata.
     """
     _check_open_unit("alpha", alpha)
     sources = []
@@ -352,14 +359,8 @@ def quantile_band(
         return float(x), q, 2.0 * half_l * pair.fx / pair.fxy
 
     rows, skipped = fit_grid(sample, x_grid, cfg, row)
-    meta = _common_metadata(sample, cfg, "quantile")
-    meta.update(
-        {
-            "alpha": alpha,
-            "density_source": sources[-1],
-            "skipped_locations": skipped,
-        }
-    )
+    meta = _common_metadata(sample, cfg, "quantile", skipped)
+    meta.update({"alpha": alpha, "density_source": sources[-1]})
     if sources[-1] == "plugin":
         meta["density_note"] = (
             "plug-in densities reuse the estimation bandwidth in both coordinates"

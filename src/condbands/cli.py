@@ -23,7 +23,7 @@ from . import bands as bands_mod
 from . import experiments as exp_mod
 from .errors import CondBandsError, EmptyInput, ParseError
 from .estimator import EstimatorConfig, Sample, reference_bandwidth
-from .kernels import get_kernel
+from .kernels import KERNELS, get_kernel
 from .simulation import (
     MODEL_KINDS,
     draw,
@@ -188,9 +188,7 @@ def _add_source_args(sub):
 
 
 def _add_kernel_arg(sub):
-    sub.add_argument(
-        "--kernel", default="epanechnikov", choices=["epanechnikov", "uniform", "gaussian"]
-    )
+    sub.add_argument("--kernel", default="epanechnikov", choices=list(KERNELS))
 
 
 def _add_fit_args(sub, orders=(0, 1, 2)):
@@ -348,21 +346,17 @@ def _linspace(spec):
     return None if spec is None else np.linspace(*spec)
 
 
-def _note_skipped(table) -> None:
-    """Name on stderr the grid locations a band table skipped, if any."""
-    skipped = table.metadata["skipped_locations"]
+def _t_grid(config: argparse.Namespace, sample: Sample):
+    """The --t-grid of bands and plotdata; plotdata's default spans the responses."""
+    if config.t_grid is None:
+        return np.linspace(float(sample.ys.min()), float(sample.ys.max()), 101)
+    return config.t_grid if config.t_grid == "jumps" else _linspace(config.t_grid)
+
+
+def _note_skipped(skipped: list) -> None:
+    """Name on stderr the skipped grid locations, if any."""
     if skipped:
         print(f"note: skipped degenerate locations {skipped}", file=sys.stderr)
-
-
-def _write_table(table, config: argparse.Namespace) -> None:
-    _note_skipped(table)
-    if config.fmt == "json":
-        with open(config.output, "w") as fh:
-            fh.write(table.to_json())
-            fh.write("\n")
-    else:
-        table.to_csv(config.output)
 
 
 def _cmd_simulate(config: argparse.Namespace) -> int:
@@ -372,31 +366,34 @@ def _cmd_simulate(config: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bands(config: argparse.Namespace) -> int:
-    sample, _ = _load_sample(config)
-    cfg = _estimator_config(config, sample.n)
-    t_grid = config.t_grid if config.t_grid == "jumps" else _linspace(config.t_grid)
-    table = bands_mod.cdf_band(
-        sample, _linspace(config.x_grid), t_grid, cfg,
+def _table_command(build):
+    """Command writing the band table ``build(config, sample, model, cfg)`` as CSV or JSON."""
+    def command(config: argparse.Namespace) -> int:
+        sample, model = _load_sample(config)
+        table = build(config, sample, model, _estimator_config(config, sample.n))
+        _note_skipped(table.metadata["skipped_locations"])
+        if config.fmt == "json":
+            with open(config.output, "w") as fh:
+                fh.write(table.to_json())
+                fh.write("\n")
+        else:
+            table.to_csv(config.output)
+        return 0
+    return command
+
+
+def _bands(config, sample, model, cfg):
+    return bands_mod.cdf_band(
+        sample, _linspace(config.x_grid), _t_grid(config, sample), cfg,
         epsilon=config.epsilon, clip=config.clip,
     )
-    _write_table(table, config)
-    return 0
 
 
-def _cmd_regression(config: argparse.Namespace) -> int:
-    sample, _ = _load_sample(config)
-    cfg = _estimator_config(config, sample.n)
-    table = bands_mod.regression_band(
-        sample, _linspace(config.x_grid), cfg, config.y_range
-    )
-    _write_table(table, config)
-    return 0
+def _regression(config, sample, model, cfg):
+    return bands_mod.regression_band(sample, _linspace(config.x_grid), cfg, config.y_range)
 
 
-def _cmd_quantile(config: argparse.Namespace) -> int:
-    sample, model = _load_sample(config)
-    cfg = _estimator_config(config, sample.n)
+def _quantile(config, sample, model, cfg):
     if config.density == "oracle":
         if model is None:
             raise CondBandsError("--density oracle requires --model")
@@ -405,11 +402,9 @@ def _cmd_quantile(config: argparse.Namespace) -> int:
         def provider(x, y):
             return bands_mod.density_plugin(sample, x, y, cfg)
 
-    table = bands_mod.quantile_band(
+    return bands_mod.quantile_band(
         sample, _linspace(config.x_grid), config.alpha, cfg, provider
     )
-    _write_table(table, config)
-    return 0
 
 
 def _each_n(experiment, *own: str):
@@ -509,30 +504,16 @@ def _write_svg(path, panels):
 def _cmd_plotdata(config: argparse.Namespace) -> int:
     sample, model = _load_sample(config)
     cfg = _estimator_config(config, sample.n)
-    if config.t_grid is None:
-        t_grid = np.linspace(float(sample.ys.min()), float(sample.ys.max()), 101)
-    elif config.t_grid == "jumps":
-        t_grid = "jumps"
-    else:
-        t_grid = _linspace(config.t_grid)
-    table = bands_mod.cdf_band(
-        sample, _linspace(config.x_grid), t_grid, cfg,
+    blocks, skipped = bands_mod.cdf_blocks(
+        sample, _linspace(config.x_grid), _t_grid(config, sample), cfg,
         epsilon=config.epsilon, clip=config.clip,
     )
-    _note_skipped(table)
-    # One block of rows per kept location.  Explicit grids give every block
-    # len(t_grid) rows; a jump curve contains the sample minimum exactly
-    # once, as its first jump, so each jump block starts there.
-    if isinstance(t_grid, str):
-        starts = np.flatnonzero(table.t == sample.ys.min())
-    else:
-        starts = np.arange(0, len(table), t_grid.size)
+    _note_skipped(skipped)
     # (x, ts, {series name: values}) per location, in CSV row order
     panels = []
-    for block in np.split(np.arange(len(table)), starts[1:]):
-        x = float(table.x[block[0]])
-        ts = table.t[block]
-        series = {name: getattr(table, name)[block] for name in ("estimate", "lower", "upper")}
+    for xs, ts, estimate, _, lower, upper in blocks:
+        x = float(xs[0])
+        series = {"estimate": estimate, "lower": lower, "upper": upper}
         if model is not None:
             series["truth"] = true_cdf(model, x, ts)
         panels.append((x, ts, series))
@@ -551,9 +532,9 @@ def _cmd_plotdata(config: argparse.Namespace) -> int:
 
 _COMMANDS = {
     "simulate": _cmd_simulate,
-    "bands": _cmd_bands,
-    "regression": _cmd_regression,
-    "quantile": _cmd_quantile,
+    "bands": _table_command(_bands),
+    "regression": _table_command(_regression),
+    "quantile": _table_command(_quantile),
     "experiment": _cmd_experiment,
     "plotdata": _cmd_plotdata,
 }

@@ -17,7 +17,6 @@ from condbands import (
     LocalWeights,
     Sample,
     YRangeViolation,
-    ZeroJointDensity,
     band_halfwidth,
     cdf_band,
     cdf_curve,
@@ -449,10 +448,26 @@ def test_quantile_band_oracle_tracks_truth():
 
 
 def test_quantile_band_zero_joint_density():
+    # m2's law at x = 0 is a point mass, so the oracle joint density at the
+    # quantile vanishes there: that location is skipped and recorded
     sample = draw(M2, 500, 61)
     c = cfg(h=reference_bandwidth(500))
-    with pytest.raises(ZeroJointDensity):
+    table = quantile_band(sample, [-0.5, 0.0, 0.5], 0.5, c, oracle_density_provider(M2))
+    assert table.x.tolist() == [-0.5, 0.5]
+    assert table.metadata["skipped_locations"] == [0.0]
+    with pytest.raises(InsufficientLocalData, match="every grid location"):
         quantile_band(sample, [0.0], 0.5, c, oracle_density_provider(M2))
+
+
+def test_quantile_band_skips_a_location_without_marginal_density():
+    sample = draw(M1, 300, 62)
+
+    def densities(x, q):
+        return DensityPair(fx=0.0 if x == 0.0 else 1.0, fxy=1.0, source="oracle")
+
+    table = quantile_band(sample, [-0.5, 0.0, 0.5], 0.5, cfg(), densities)
+    assert table.x.tolist() == [-0.5, 0.5]
+    assert table.metadata["skipped_locations"] == [0.0]
 
 
 def test_quantile_band_alpha_validation():

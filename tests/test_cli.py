@@ -313,6 +313,14 @@ def test_quantile_oracle_density(tmp_path):
     assert all(r["lower"] <= r["estimate"] <= r["upper"] for r in doc["rows"])
 
 
+def test_quantile_oracle_density_requires_a_model(tmp_path, capsys):
+    src = write(tmp_path / "s.csv", "x,y\n0.0,0.5\n0.1,0.2\n")
+    out = tmp_path / "q.csv"
+    assert main(["quantile", "--input", src, "--density", "oracle", "--output", str(out)]) == 1
+    assert capsys.readouterr().err == "error: --density oracle requires --model\n"
+    assert not out.exists()
+
+
 def test_bad_bandwidth_text(capsys):
     code = main(["bands", "--model", "m1", "--bandwidth", "wide",
                  "--output", "/tmp/unused.csv"])
@@ -345,9 +353,11 @@ def test_out_of_range_values_exit_one_without_traceback(tmp_path, capsys, argv):
     ["simulate", "--model", "m1", "--n", "20", "--output", "{tmp}/no/such/dir/o.csv"],
     ["bands", "--model", "m1", "--n", "200", "--x-grid=-0.5:0.5:3",
      "--output", "{tmp}/no/such/dir/o.csv"],
+    ["bands", "--input", "{tmp}/empty.csv", "--output", "{tmp}/out.csv"],
 ], ids=["input-missing", "input-directory", "simulate-output-dir-missing",
-        "bands-output-dir-missing"])
+        "bands-output-dir-missing", "input-empty"])
 def test_file_errors_exit_one_without_traceback(tmp_path, capsys, argv):
+    (tmp_path / "empty.csv").write_bytes(b"")
     assert main([a.format(tmp=tmp_path) for a in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
@@ -479,6 +489,35 @@ def test_plotdata_csv_and_svg_bytes_are_pinned(tmp_path, source):
     assert main(["plotdata", *argv, *fit, "--svg", str(svg), "--output", str(out)]) == 0
     digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, svg))
     assert digests == PLOTDATA_DIGESTS[source]
+
+
+# SHA-256 of each table command's output for an m2 run in the arithmetic of
+# PLOTDATA_DIGESTS, whose x grid holds one location (3.0) without data.
+TABLE_DIGESTS = {
+    "bands-csv": (["bands"],
+                  "6d9bb5c6454a2bbe04ac0c30f2129ba01075ef9834120394c4f0558672e6bd5f"),
+    "bands-json": (["bands", "--t-grid", "0.5:-0.5:5", "--no-clip", "--format", "json"],
+                   "5da66a787e5afc68f2c3f5d5a1ee5d7f91ddccc116960e521417d3c7fbf512c4"),
+    "regression-csv": (["regression", "--y-range=-3:3"],
+                       "bbbf9015c58a8cb1790fb2f2c14a26226255377a60f25319d701d31cb18e4995"),
+    "regression-json": (["regression", "--y-range=-3:3", "--format", "json"],
+                        "c49beebd5b0fecb111810eb4a58dac676b22b0cd1cbc3999b69146bf39c9bf4f"),
+    "quantile-csv": (["quantile", "--density", "plugin"],
+                     "403f0de14627db1f69bead9221b5ad9f7108b312213baf81aafbbeb8fff8cb4a"),
+    "quantile-json": (["quantile", "--density", "plugin", "--format", "json"],
+                      "fa52302575c72d8a5c0336bf61cd314d82e9ee613030e854721621c4ba521ecd"),
+}
+
+
+@pytest.mark.parametrize("case", TABLE_DIGESTS)
+def test_table_command_bytes_are_pinned(tmp_path, capsys, case):
+    argv, digest = TABLE_DIGESTS[case]
+    out = tmp_path / "table"
+    assert main([*argv, "--model", "m2", "--n", "60", "--seed", "3", "--kernel", "uniform",
+                 "--order", "0", "--bandwidth", "0.5", "--x-grid=-3:3:7",
+                 "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert capsys.readouterr() == ("", "note: skipped degenerate locations [3.0]\n")
 
 
 def test_plotdata_file_input_has_no_truth(tmp_path):
@@ -633,7 +672,13 @@ def test_non_finite_numbers_are_usage_errors(tmp_path, capsys, argv):
     (["regression", "--model", "m1", "--y-range", "a:1"], "invalid float value: 'a'"),
     (["experiment", "em-constant", "--model", "m1", "--interval", "a:1"],
      "invalid float value: 'a'"),
-], ids=["sup-order-2", "y-range-not-a-number", "interval-not-a-number"])
+    (["bands", "--model", "m1", "--x-grid", "0:1"], "expected start:stop:count, got '0:1'"),
+    (["bands", "--model", "m1", "--x-grid", "0:1:x"], "bad grid spec '0:1:x'"),
+    (["bands", "--model", "m1", "--x-grid", "0:1:0"], "grid count must be >= 1"),
+    (["regression", "--model", "m1", "--y-range", "0:1:2"], "expected lo:hi, got '0:1:2'"),
+    (["experiment", "sup", "--model", "m1", "--n-list", "1,a"], "bad integer list '1,a'"),
+], ids=["sup-order-2", "y-range-not-a-number", "interval-not-a-number", "x-grid-two-parts",
+        "x-grid-count-not-a-number", "x-grid-count-0", "y-range-three-parts", "n-list-not-a-number"])
 def test_malformed_option_values_are_usage_errors(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:

@@ -237,6 +237,8 @@ def test_band_normalized_sup_scaling():
     base = band_normalized_sup(devs, halves)
     assert base == pytest.approx(2.5)
     assert band_normalized_sup(devs, halves / 2.0) == pytest.approx(2.0 * base)
+    with pytest.raises(InsufficientLocalData, match="no locations"):
+        band_normalized_sup([], [])
 
 
 def test_sup_statistic_permutation_invariant():
@@ -655,6 +657,17 @@ def test_em_constant_records_skipped_locations():
     assert em.summaries[0]["skipped_locations"] == 8
     assert sup.summaries[0]["skipped_locations"] == 4
     assert em_constant_experiment(M1, 200, 2, c, seed=1).summaries[0]["skipped_locations"] == 0
+
+
+def test_em_constant_needs_a_location_with_a_linear_fit():
+    # the uniform window at the sample maximum holds that point alone: the
+    # constant fit is kept there, the linear one is not
+    sample = draw(M1, 20, np.random.SeedSequence(3, spawn_key=(0,)))
+    top, second = np.sort(sample.xs)[::-1][:2]
+    c = cfg(UNI, h=min(0.5, (top - second) / 2.0), order=0)
+    assert fit_grid(sample, [top], c, lambda x, fit, half: x) == ([top], [])
+    with pytest.raises(InsufficientLocalData, match="every grid location"):
+        em_constant_experiment(M1, 20, 1, c, x_grid=[top], seed=3)
 
 
 def test_em_constant_matches_separate_fits_per_order():

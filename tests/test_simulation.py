@@ -62,6 +62,8 @@ def test_conditional_draws():
     assert (ys >= 0.0).all() and (ys < 1.0).all()
     zeros = draw_conditional(M2, 0.0, 100, 3)
     assert np.all(zeros == 0.0)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        draw_conditional(M1, 0.0, 0, 1)
 
 
 @pytest.mark.parametrize(
