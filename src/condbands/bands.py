@@ -338,8 +338,8 @@ def quantile_band(
     estimated quantile.  For alpha in (0, 1) the first point where the raw
     curve reaches alpha is the first where its monotonized form (running
     maximum clipped to [0, 1]) does, so inverting the raw curve gives the
-    quantile of either.  A location whose fit is degenerate or whose
-    density pair is not positive is skipped and recorded in the metadata.
+    quantile of either.  A location with a degenerate fit or a non-finite
+    or non-positive density is skipped and recorded in the metadata.
     """
     _check_open_unit("alpha", alpha)
     sources = []
@@ -347,13 +347,13 @@ def quantile_band(
     def row(x, fit, half_l):
         q = quantile_estimate(fit.curve(sample, monotonize=False), alpha)
         pair = densities(float(x), q)
-        if not pair.fx > 0.0:
+        if not (pair.fx > 0.0 and math.isfinite(pair.fx)):
             raise ZeroJointDensity(
-                f"marginal density {pair.fx!r} at x = {x} is not positive"
+                f"marginal density {pair.fx!r} at x = {x} is not positive and finite"
             )
-        if pair.fxy <= _DENSITY_TOL:
+        if not (pair.fxy > _DENSITY_TOL and math.isfinite(pair.fxy)):
             raise ZeroJointDensity(
-                f"joint density {pair.fxy!r} at (x, q) = ({x}, {q}) below tolerance"
+                f"joint density {pair.fxy!r} at (x, q) = ({x}, {q}) is not finite above tolerance"
             )
         sources.append(pair.source)
         return float(x), q, 2.0 * half_l * pair.fx / pair.fxy

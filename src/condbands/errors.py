@@ -23,7 +23,7 @@ class YRangeViolation(CondBandsError):
 
 class ZeroJointDensity(CondBandsError):
     """Raised when a quantile band is requested at a point where the joint
-    density estimate (or oracle) vanishes."""
+    density estimate (or oracle) vanishes, or a density is not finite."""
 
 
 class QuadratureFailure(CondBandsError):

@@ -293,10 +293,19 @@ def kernel_window(sample: Sample, x: float, cfg: EstimatorConfig) -> KernelWindo
     widened by 16 ulps of |x| + h max(|a|, |b|), more than the rounding of
     u_i and of the bounds can move a point, so it holds every observation
     with K(u_i) > 0.  Without a support the whole sample is evaluated.
+
+    The sample keeps the last window cut, keyed by the bits of x, the kernel
+    object and h, and returns it on a repeat call; its arrays are read-only.
     """
     if not math.isfinite(x):
         raise ValueError(f"location x must be finite, got {x!r}")
-    h = cfg.bandwidth
+    x, h = float(x), cfg.bandwidth
+    # the kernel's identity, not equality: kernels that differ only in fn are
+    # equal.  The slot holds the kernel, so its id is not reused meanwhile.
+    key = (x.hex(), id(cfg.kernel), h)
+    slot = vars(sample).get("_window_slot")
+    if slot is not None and slot[0] == key:
+        return slot[2]
     support = cfg.kernel.support
     if support is None:
         index, xs = np.arange(sample.n), sample.xs
@@ -305,21 +314,27 @@ def kernel_window(sample: Sample, x: float, cfg: EstimatorConfig) -> KernelWindo
         pad = 16.0 * _EPS * (abs(x) + h * max(-a, b))
         lo, hi = sample.xs_sorted.searchsorted((x - b * h - pad, x - a * h + pad))
         index, xs = sample.x_order[lo:hi], sample.xs_sorted[lo:hi]
-    u = (x - xs) / h
+    u = x - xs
+    u /= h
     k = cfg.kernel.eval(u)
-    keep = k > 0.0
-    if not keep.all():
-        index, u, k = index[keep], u[keep], k[keep]
-    return KernelWindow(index, u, k, sample.n * h)
+    # u is monotone over the sorted candidates and a kernel with support is
+    # positive on one interval, so K > 0 at both ends means K > 0 throughout
+    if support is None or (k.size > 0 and not (k[0] > 0.0 and k[-1] > 0.0)):
+        keep = k > 0.0
+        if not keep.all():
+            index, u, k = index[keep], u[keep], k[keep]
+    win = KernelWindow(_read_only(index), _read_only(u), _read_only(k), sample.n * h)
+    vars(sample)["_window_slot"] = (key, cfg.kernel, win)
+    return win
 
 
 def _power_sums(u, k, jmax):
     """sum_i u_i^j K(u_i) for j = 0..jmax."""
     out = np.empty(jmax + 1)
-    out[0] = k.sum()
+    out[0] = np.add.reduce(k)
     uj = u
     for j in range(1, jmax + 1):
-        out[j] = (uj * k).sum()
+        out[j] = np.add.reduce(uj * k)
         if j < jmax:
             uj = uj * u
     return out
@@ -351,16 +366,25 @@ def _weight_vector(u, k, nh, order, sums):
             raise InsufficientLocalData(
                 f"degenerate local linear fit at x (denominator {denom:.3e})"
             )
-        return (m[2] - u * m[1]) * k / (nh * denom)
-    a1 = m[2] * m[4] - m[3] ** 2
-    a2 = m[2] * m[3] - m[1] * m[4]
-    a3 = m[1] * m[3] - m[2] ** 2
-    denom = a1 * m[0] + a2 * m[1] + a3 * m[2]
-    if abs(denom) < _DENOM_TOL:
-        raise InsufficientLocalData(
-            f"degenerate local quadratic fit at x (denominator {denom:.3e})"
-        )
-    return (a1 + a2 * u + a3 * u * u) * k / (nh * denom)
+        w = u * m[1]
+        np.subtract(m[2], w, out=w)
+    else:
+        a1 = m[2] * m[4] - m[3] ** 2
+        a2 = m[2] * m[3] - m[1] * m[4]
+        a3 = m[1] * m[3] - m[2] ** 2
+        denom = a1 * m[0] + a2 * m[1] + a3 * m[2]
+        if abs(denom) < _DENOM_TOL:
+            raise InsufficientLocalData(
+                f"degenerate local quadratic fit at x (denominator {denom:.3e})"
+            )
+        w = a2 * u
+        w += a1
+        w += a3 * u * u
+    # (m2 - u m1) k / (nh denom), or (a1 + a2 u + (a3 u) u) k / (nh denom),
+    # with the operations of the one-line expressions, in one buffer
+    w *= k
+    w /= nh * denom
+    return w
 
 
 def _fit(x: float, win: KernelWindow, order: int, n: int) -> LocalWeights:

@@ -40,7 +40,8 @@ class Kernel:
     name : str
         Registry name ("epanechnikov", "uniform" or "gaussian").
     support : tuple of float, or None
-        Interval outside which the kernel vanishes; None when unbounded.
+        Interval outside which the kernel vanishes, and on one subinterval
+        of which it is positive; None when unbounded.
     l2_norm_sq : float
         Integral of the squared kernel.
     moments : tuple of float

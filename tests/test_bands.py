@@ -225,10 +225,11 @@ def _band_kernel_passes(base):
 
 def test_band_functions_fit_each_location_once():
     # the cdf and regression bands take the fit and L(x) from one kernel
-    # pass per location; the quantile band adds density_plugin's two.  Each
-    # pass covers the kernel window only, never the whole sample.
+    # pass per location; the quantile band adds density_plugin's pass over
+    # the responses, as its window is the fit's own.  Each pass covers the
+    # kernel window only, never the whole sample.
     n, size, (cdf, reg, quant) = _band_kernel_passes(EPA)
-    assert (len(cdf), len(reg), len(quant)) == (size, size, 3 * size)
+    assert (len(cdf), len(reg), len(quant)) == (size, size, 2 * size)
     assert max(cdf + reg + quant) < n
 
 
@@ -238,7 +239,7 @@ def test_band_kernel_passes_cover_the_support(name):
     # evaluates the whole sample on every pass
     base = get_kernel(name)
     n, size, (cdf, reg, quant) = _band_kernel_passes(base)
-    assert (len(cdf), len(reg), len(quant)) == (size, size, 3 * size)
+    assert (len(cdf), len(reg), len(quant)) == (size, size, 2 * size)
     if base.support is None:
         assert set(cdf + reg + quant) == {n}
     else:
@@ -470,6 +471,24 @@ def test_quantile_band_skips_a_location_without_marginal_density():
     assert table.metadata["skipped_locations"] == [0.0]
 
 
+@pytest.mark.parametrize("name", ["fx", "fxy"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_quantile_band_skips_a_location_with_a_non_finite_density(name, value):
+    # a NaN or infinite density would give a NaN, infinite or zero half-width
+    sample = draw(M1, 500, 63)
+
+    def densities(x, q):
+        pair = {"fx": 1.0, "fxy": 1.0}
+        if x == 0.0:
+            pair[name] = value
+        return DensityPair(**pair, source="oracle")
+
+    table = quantile_band(sample, [0.0, 0.5], 0.5, cfg(h=0.3), densities)
+    assert table.x.tolist() == [0.5]
+    assert table.metadata["skipped_locations"] == [0.0]
+    assert np.isfinite(table.halfwidth).all() and (table.halfwidth > 0.0).all()
+
+
 def test_quantile_band_alpha_validation():
     sample = draw(M1, 100, 7)
     with pytest.raises(ValueError):
@@ -506,6 +525,20 @@ def test_density_plugin_empty_window_is_zero():
     c = EstimatorConfig(kernel=UNI, bandwidth=0.5, order=0)
     pair = density_plugin(s, 10.0, 10.0, c)
     assert pair.fx == 0.0 and pair.fxy == 0.0
+
+
+@pytest.mark.parametrize("kernel", [EPA, UNI, get_kernel("gaussian")], ids=lambda k: k.name)
+def test_density_plugin_after_a_fit_is_its_result_on_a_fresh_sample(kernel):
+    # the fit leaves its window on the sample, and the plug-in at the same x
+    # takes it from there, as in quantile_band: a numpy x, then a float x
+    sample = draw(M1, 400, 82)
+    c = cfg(kernel=kernel, h=0.3)
+    for x in (-0.6, 0.0, 0.35):
+        fit = local_weights(sample, np.float64(x), c)
+        pair = density_plugin(sample, x, 0.5, c)
+        fresh = density_plugin(Sample(xs=sample.xs, ys=sample.ys), x, 0.5, c)
+        assert pair.fx.hex() == fresh.fx.hex() == fit.density.hex()
+        assert pair.fxy.hex() == fresh.fxy.hex()
 
 
 def test_density_plugin_consistency_on_model():

@@ -7,6 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from conftest import counting_kernel
 from hypothesis import given, settings, strategies as st
 
 from condbands import (
@@ -19,6 +20,7 @@ from condbands import (
     cdf_curve,
     cdf_estimate,
     get_kernel,
+    kernel_window,
     local_moments,
     local_weights,
     quantile_estimate,
@@ -326,6 +328,146 @@ def test_fit_at_another_order_matches_a_direct_fit(kernel):
         base.at_order(3)
 
 
+def _reference_window(s, x, c):
+    """The kernel window with a full K > 0 mask over the candidate range,
+    and whether the mask dropped a candidate."""
+    h, support = c.bandwidth, c.kernel.support
+    if support is None:
+        index, xs = np.arange(s.n), s.xs
+    else:
+        a, b = support
+        pad = 16.0 * np.finfo(float).eps * (abs(x) + h * max(-a, b))
+        lo, hi = s.xs_sorted.searchsorted((x - b * h - pad, x - a * h + pad))
+        index, xs = s.x_order[lo:hi], s.xs_sorted[lo:hi]
+    u = (x - xs) / h
+    k = c.kernel.eval(u)
+    keep = k > 0.0
+    return index[keep], u[keep], k[keep], not keep.all()
+
+
+def _reference_fit(s, x, c):
+    """Window, weights and d0(x) by ``.sum()`` power sums and the one-line
+    weight expressions; raises InsufficientLocalData as the fit does."""
+    index, u, k, _ = _reference_window(s, x, c)
+    nh = s.n * c.bandwidth
+    sums = np.empty(2 * c.order + 1)
+    sums[0] = k.sum()
+    uj = u
+    for j in range(1, 2 * c.order + 1):
+        sums[j] = (uj * k).sum()
+        if j < 2 * c.order:
+            uj = uj * u
+    m = [float(v) / nh for v in sums]
+    if c.order == 0:
+        if abs(m[0]) < 1e-12:
+            raise InsufficientLocalData("order 0")
+        w = k / float(sums[0])
+    elif c.order == 1:
+        denom = m[0] * m[2] - m[1] ** 2
+        if abs(denom) < 1e-12:
+            raise InsufficientLocalData("order 1")
+        w = (m[2] - u * m[1]) * k / (nh * denom)
+    else:
+        a1 = m[2] * m[4] - m[3] ** 2
+        a2 = m[2] * m[3] - m[1] * m[4]
+        a3 = m[1] * m[3] - m[2] ** 2
+        denom = a1 * m[0] + a2 * m[1] + a3 * m[2]
+        if abs(denom) < 1e-12:
+            raise InsufficientLocalData("order 2")
+        w = (a1 + a2 * u + a3 * u * u) * k / (nh * denom)
+    return index, u, k, w, float(sums[0]) / nh
+
+
+def _assert_fit_is_the_reference(s, x, c):
+    try:
+        index, u, k, w, d0 = _reference_fit(s, x, c)
+    except InsufficientLocalData:
+        with pytest.raises(InsufficientLocalData):
+            local_weights(s, x, c)
+        return
+    fit = local_weights(s, x, c)
+    assert fit.window.index.dtype == index.dtype
+    assert np.array_equal(fit.window.index, index)
+    for ours, ref in ((fit.window.u, u), (fit.window.k, k), (fit.window_weights, w)):
+        assert ours.tobytes() == ref.tobytes()
+    assert np.float64(fit.density).tobytes() == np.float64(d0).tobytes()
+
+
+def _design_at_the_edges(rng, x, h, kernel, n, ties):
+    """Normal X, rounded to ties on request, plus copies of X = x -+ h (or
+    x -+ h/2 for the uniform kernel), the ends of the support around x."""
+    xs = rng.normal(size=n)
+    if ties:
+        xs = np.round(xs, 1)
+    half = 0.5 * h if kernel is UNI else h
+    edges = np.repeat([x - half, x + half], rng.integers(0, 4, 2))
+    xs = np.concatenate([xs, edges])
+    return Sample(xs=xs, ys=rng.integers(0, 9, xs.size) / 8.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kernel=st.sampled_from([EPA, UNI, GAU]),
+    order=st.sampled_from([0, 1, 2]),
+    h=st.one_of(st.sampled_from([0.125, 0.25, 0.5]), st.floats(0.05, 0.95)),
+    x=st.one_of(st.sampled_from([0.0, -0.0, 0.25, -0.75]), st.floats(-2.0, 2.0)),
+    n=st.integers(1, 80),
+    ties=st.booleans(),
+)
+def test_fit_keeps_the_bits_of_the_reference_fit(seed, kernel, order, h, x, n, ties):
+    rng = np.random.default_rng(seed)
+    s = _design_at_the_edges(rng, x, h, kernel, n, ties)
+    _assert_fit_is_the_reference(s, x, cfg(kernel=kernel, h=h, order=order))
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("kernel", [EPA, UNI], ids=lambda k: k.name)
+def test_fit_keeps_the_bits_where_a_window_end_has_zero_kernel(kernel, order):
+    # dyadic x and h put X = x -+ h (x -+ h/2) exactly on the support's ends,
+    # so a candidate at an end of the window has K = 0 and the mask is needed
+    rng = np.random.default_rng(order)
+    h = 0.25
+    half = 0.5 * h if kernel is UNI else h
+    c = cfg(kernel=kernel, h=h, order=order)
+    dropped = 0
+    for x in (0.0, 0.25, -0.5):
+        for ties in (False, True):
+            xs = rng.normal(scale=0.3, size=60)
+            xs = np.append(np.round(xs, 1) if ties else xs, [x - half, x + half])
+            s = Sample(xs=xs, ys=rng.integers(0, 9, xs.size) / 8.0)
+            dropped += _reference_window(s, x, c)[3]
+            _assert_fit_is_the_reference(s, x, c)
+    assert dropped == 6
+
+
+def test_kernel_window_repeats_come_from_the_sample_slot():
+    rng = np.random.default_rng(4)
+    s = Sample(xs=rng.normal(size=200), ys=rng.random(200))
+    kernel, calls = counting_kernel(EPA)
+    c = cfg(kernel=kernel, h=0.3)
+    local_weights(s, 0.0, cfg(kernel=EPA, h=0.3))
+    win = kernel_window(s, 0.0, c)  # an equal kernel, not the same object
+    assert len(calls) == 1
+    assert kernel_window(s, 0.0, c) is win
+    assert local_weights(s, 0.0, c).window is win
+    assert len(calls) == 1
+    kernel_window(s, 0.0, cfg(kernel=kernel, h=0.31))
+    assert len(calls) == 2
+    kernel_window(s, 0.0, c)  # the slot holds one window
+    assert len(calls) == 3
+    again = kernel_window(s, -0.0, c)
+    assert len(calls) == 4
+    assert kernel_window(s, -0.0, c) is again
+    assert len(calls) == 4
+    for arr in again[:3]:
+        assert arr.size > 0
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+        with pytest.raises(ValueError):
+            arr += arr
+
+
 def test_sample_caches_are_read_only_and_outside_equality():
     xs, ys = [0.3, -0.1, 0.3, 0.0], [0.5, 0.2, 0.2, 0.9]
     s = Sample(xs=xs, ys=ys)
@@ -348,6 +490,8 @@ def test_sample_caches_are_read_only_and_outside_equality():
 def test_sample_copies_stay_read_only_without_caches(clone):
     s = Sample(xs=[0.3, -0.1, 0.3, 0.0], ys=[0.5, 0.2, 0.2, 0.9])
     _ = s.x_order, s.xs_sorted, s.y_rank, s.y_range  # fill the caches first
+    kernel_window(s, 0.1, cfg())  # and the window slot
+    assert len(vars(s)) == 7
     c = clone(s)
     # Sample == compares arrays elementwise, so compare them one by one
     assert np.array_equal(c.xs, s.xs) and np.array_equal(c.ys, s.ys)
