@@ -197,38 +197,33 @@ def fit_grid(
     return kept, skipped
 
 
-def _common_metadata(sample: Sample, cfg: EstimatorConfig, kind: str, skipped: list) -> dict:
-    return {
-        "kind": kind,
-        "order": cfg.order,
-        "kernel": cfg.kernel.name,
-        "bandwidth": cfg.bandwidth,
-        "n": sample.n,
-        "skipped_locations": skipped,
-    }
+def _point_columns(rows: list) -> tuple:
+    """Table columns of one row per location from (x, estimate, halfwidth, ...) rows."""
+    xs, est, hw = (np.asarray(col) for col in list(zip(*rows))[:3])
+    return xs, np.full(xs.size, np.nan), est, hw, est - hw, est + hw
 
 
-def _point_table(rows, meta: dict) -> BandTable:
-    """Table of one row per location from (x, estimate, halfwidth) rows."""
-    xs, est, hw = (np.asarray(col) for col in zip(*rows))
-    return BandTable(
-        x=xs,
-        t=np.full(xs.size, np.nan),
-        estimate=est,
-        halfwidth=hw,
-        lower=est - hw,
-        upper=est + hw,
-        metadata=meta,
-    )
+def _band_table(
+    sample: Sample, x_grid: Sequence[float], cfg: EstimatorConfig, kind: str, reduce: Callable,
+    settings: Callable[[list], dict], columns: Callable[[list], tuple] = _point_columns,
+) -> BandTable:
+    """The ``kind`` band table of ``reduce`` at each location of ``x_grid``.
+
+    ``columns(kept)`` turns the kept reductions into the six table columns
+    and ``settings(kept)`` gives the metadata that follows the common keys.
+    """
+    kept, skipped = fit_grid(sample, x_grid, cfg, reduce)
+    del reduce  # it may hold arrays as long as the sample; free them before the columns
+    meta = {"kind": kind, "order": cfg.order, "kernel": cfg.kernel.name,
+            "bandwidth": cfg.bandwidth, "n": sample.n, "skipped_locations": skipped}
+    return BandTable(*columns(kept), metadata={**meta, **settings(kept)})
 
 
-def cdf_blocks(
-    sample: Sample, x_grid: Sequence[float], t_grid, cfg: EstimatorConfig,
-    epsilon: float = 0.0, clip: bool = True,
-) -> tuple[list, list[float]]:
-    """Rows of :func:`cdf_band`, one block per kept location, and the skipped locations.
+def _cdf_reduction(sample: Sample, t_grid, epsilon: float, clip: bool) -> Callable:
+    """Per-location reduction of :func:`cdf_band` for :func:`fit_grid`.
 
-    A block is the tuple of arrays (x, t, estimate, halfwidth, lower, upper).
+    It gives the location's block of rows as the tuple of arrays
+    (x, t, estimate, halfwidth, lower, upper).
     """
     if not 0.0 <= epsilon < 1.0:
         raise ValueError(f"epsilon must lie in [0, 1), got {epsilon!r}")
@@ -269,7 +264,7 @@ def cdf_blocks(
         size = t_here.size
         return (np.full(size, x), t_here, e_here, np.full(size, half), lo_here, up_here)
 
-    return fit_grid(sample, x_grid, cfg, block)
+    return block
 
 
 def cdf_band(
@@ -289,13 +284,11 @@ def cdf_band(
     Locations where the local fit is degenerate are skipped and recorded
     in the metadata.
     """
-    blocks, skipped = cdf_blocks(sample, x_grid, t_grid, cfg, epsilon, clip)
-    xs, ts, est, hw, lo, up = (np.concatenate(col) for col in zip(*blocks))
-    meta = _common_metadata(sample, cfg, "cdf", skipped)
     t_mode = "jumps" if isinstance(t_grid, str) else "explicit"
-    meta.update({"epsilon": epsilon, "clipped": clip, "t_grid": t_mode})
-    return BandTable(
-        x=xs, t=ts, estimate=est, halfwidth=hw, lower=lo, upper=up, metadata=meta
+    return _band_table(
+        sample, x_grid, cfg, "cdf", _cdf_reduction(sample, t_grid, epsilon, clip),
+        lambda blocks: {"epsilon": epsilon, "clipped": clip, "t_grid": t_mode},
+        lambda blocks: [np.concatenate(col) for col in zip(*blocks)],
     )
 
 
@@ -319,10 +312,7 @@ def regression_band(
     def row(x, fit, half_l):
         return float(x), fit.regression(sample), (b - a) * half_l
 
-    rows, skipped = fit_grid(sample, x_grid, cfg, row)
-    meta = _common_metadata(sample, cfg, "regression", skipped)
-    meta["y_range"] = [a, b]
-    return _point_table(rows, meta)
+    return _band_table(sample, x_grid, cfg, "regression", row, lambda rows: {"y_range": [a, b]})
 
 
 def quantile_band(
@@ -339,10 +329,10 @@ def quantile_band(
     curve reaches alpha is the first where its monotonized form (running
     maximum clipped to [0, 1]) does, so inverting the raw curve gives the
     quantile of either.  A location with a degenerate fit or a non-finite
-    or non-positive density is skipped and recorded in the metadata.
+    or non-positive density is skipped and recorded in the metadata; the
+    metadata names the density source of the last kept location.
     """
     _check_open_unit("alpha", alpha)
-    sources = []
 
     def row(x, fit, half_l):
         q = quantile_estimate(fit.curve(sample, monotonize=False), alpha)
@@ -355,17 +345,17 @@ def quantile_band(
             raise ZeroJointDensity(
                 f"joint density {pair.fxy!r} at (x, q) = ({x}, {q}) is not finite above tolerance"
             )
-        sources.append(pair.source)
-        return float(x), q, 2.0 * half_l * pair.fx / pair.fxy
+        return float(x), q, 2.0 * half_l * pair.fx / pair.fxy, pair.source
 
-    rows, skipped = fit_grid(sample, x_grid, cfg, row)
-    meta = _common_metadata(sample, cfg, "quantile", skipped)
-    meta.update({"alpha": alpha, "density_source": sources[-1]})
-    if sources[-1] == "plugin":
-        meta["density_note"] = (
-            "plug-in densities reuse the estimation bandwidth in both coordinates"
-        )
-    return _point_table(rows, meta)
+    def settings(rows):
+        meta = {"alpha": alpha, "density_source": rows[-1][3]}
+        if meta["density_source"] == "plugin":
+            meta["density_note"] = (
+                "plug-in densities reuse the estimation bandwidth in both coordinates"
+            )
+        return meta
+
+    return _band_table(sample, x_grid, cfg, "quantile", row, settings)
 
 
 def density_plugin(sample: Sample, x: float, y: float, cfg: EstimatorConfig) -> DensityPair:

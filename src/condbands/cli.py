@@ -151,6 +151,8 @@ def _grid_spec(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"bad grid spec {text!r}") from None
     if count < 1:
         raise argparse.ArgumentTypeError("grid count must be >= 1")
+    if count > 1 and not math.isfinite(stop - start):
+        raise argparse.ArgumentTypeError(f"grid {text!r} overflows: stop - start is not finite")
     return (start, stop, count)
 
 
@@ -504,9 +506,9 @@ def _write_svg(path, panels):
 def _cmd_plotdata(config: argparse.Namespace) -> int:
     sample, model = _load_sample(config)
     cfg = _estimator_config(config, sample.n)
-    blocks, skipped = bands_mod.cdf_blocks(
-        sample, _linspace(config.x_grid), _t_grid(config, sample), cfg,
-        epsilon=config.epsilon, clip=config.clip,
+    blocks, skipped = bands_mod.fit_grid(
+        sample, _linspace(config.x_grid), cfg,
+        bands_mod._cdf_reduction(sample, _t_grid(config, sample), config.epsilon, config.clip),
     )
     _note_skipped(skipped)
     # (x, ts, {series name: values}) per location, in CSV row order

@@ -298,7 +298,7 @@ def kernel_window(sample: Sample, x: float, cfg: EstimatorConfig) -> KernelWindo
     object and h, and returns it on a repeat call; its arrays are read-only.
     """
     if not math.isfinite(x):
-        raise ValueError(f"location x must be finite, got {x!r}")
+        raise ValueError(f"location x must be finite, got {float(x)}")
     x, h = float(x), cfg.bandwidth
     # the kernel's identity, not equality: kernels that differ only in fn are
     # equal.  The slot holds the kernel, so its id is not reused meanwhile.

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import InsufficientLocalData, InvalidBandwidth, QuadratureFailure
 from .estimator import EstimatorConfig, _check_open_unit, _power_sums, _weight_vector
-from .bands import fit_grid
+from .bands import _DENSITY_TOL, fit_grid
 from .kernels import Kernel
 from .simulation import (
     SimModel, cdf_kinks, draw, marginal_density, prepare_weighted_cdf, true_cdf,
@@ -479,7 +479,8 @@ def bochner_check(
 
     As h decreases, density moments 0 and 2 approach f_X(x) and
     f_X(x) * mu_2(K), response moments approach f_X(x) F(t | x) and 0,
-    and the odd density moment vanishes.
+    and the odd density moment vanishes.  An x where f_X(x) is at most the
+    bands' density tolerance is refused: every limit there would be 0.
     """
     hs = [float(h) for h in h_sequence]
     if not hs:
@@ -491,7 +492,10 @@ def bochner_check(
     if not (math.isfinite(x) and math.isfinite(t)):
         raise ValueError(f"x and t must be finite, got x = {x!r}, t = {t!r}")
 
-    fx = marginal_density(model, x)
+    with np.errstate(over="ignore"):  # x * x overflows far out, where f_X(x) is 0 anyway
+        fx = marginal_density(model, x)
+    if not fx > _DENSITY_TOL:
+        raise InsufficientLocalData(f"design density f_X({x}) = {fx:.3e} too small for a check")
     # report key: (power j of u, response point or None, limit as h -> 0)
     moments = {
         "density_moment_0": (0, None, fx),

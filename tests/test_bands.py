@@ -294,6 +294,63 @@ def test_cdf_band_metadata():
     assert md["clipped"] is True
 
 
+@pytest.mark.parametrize("t_grid,mode", [("jumps", "jumps"), (np.array([0.2, 0.7]), "explicit")])
+@pytest.mark.parametrize("clip", [True, False])
+def test_cdf_band_metadata_is_exactly_its_settings(t_grid, mode, clip):
+    # here and below x = 50 has no data near it and is skipped
+    sample = draw(M1, 200, 11)
+    table = cdf_band(sample, [0.0, 50.0], t_grid, cfg(h=0.35, order=2), epsilon=0.25, clip=clip)
+    assert table.metadata == {
+        "kind": "cdf", "order": 2, "kernel": "epanechnikov", "bandwidth": 0.35, "n": 200,
+        "skipped_locations": [50.0], "epsilon": 0.25, "clipped": clip, "t_grid": mode,
+    }
+    assert json.loads(table.to_json())["metadata"] == table.metadata
+
+
+def test_regression_band_metadata_is_exactly_its_settings():
+    sample = draw(M1, 200, 11)
+    table = regression_band(sample, [0.0, 50.0], cfg(h=0.35), (-1, 2))
+    assert table.metadata == {
+        "kind": "regression", "order": 1, "kernel": "epanechnikov", "bandwidth": 0.35,
+        "n": 200, "skipped_locations": [50.0], "y_range": [-1.0, 2.0],
+    }
+    assert json.loads(table.to_json())["metadata"] == table.metadata
+
+
+def test_quantile_band_metadata_is_exactly_its_settings():
+    sample = draw(M1, 200, 11)
+    c = cfg(h=0.35)
+    grid = [0.0, 50.0]
+    note = "plug-in densities reuse the estimation bandwidth in both coordinates"
+    plugin = quantile_band(sample, grid, 0.3, c, lambda x, y: density_plugin(sample, x, y, c))
+    assert plugin.metadata == {
+        "kind": "quantile", "order": 1, "kernel": "epanechnikov", "bandwidth": 0.35,
+        "n": 200, "skipped_locations": [50.0], "alpha": 0.3, "density_source": "plugin",
+        "density_note": note,
+    }
+    oracle = quantile_band(sample, grid, 0.3, c, oracle_density_provider(M1))
+    assert oracle.metadata == {
+        "kind": "quantile", "order": 1, "kernel": "epanechnikov", "bandwidth": 0.35,
+        "n": 200, "skipped_locations": [50.0], "alpha": 0.3, "density_source": "oracle",
+    }
+    for table in (plugin, oracle):
+        assert json.loads(table.to_json())["metadata"] == table.metadata
+
+
+@pytest.mark.parametrize("last", ["oracle", "plugin"])
+def test_quantile_band_reports_the_density_source_of_the_last_kept_location(last):
+    sample = draw(M1, 300, 62)
+    first = "plugin" if last == "oracle" else "oracle"
+
+    def densities(x, q):
+        return DensityPair(fx=1.0, fxy=1.0, source=first if x < 0.5 else last)
+
+    md = quantile_band(sample, [-0.5, 0.0, 0.5, 50.0], 0.5, cfg(), densities).metadata
+    assert md["skipped_locations"] == [50.0]
+    assert md["density_source"] == last
+    assert ("density_note" in md) == (last == "plugin")
+
+
 # ---------------------------------------------------------------------------
 # Regression bands
 # ---------------------------------------------------------------------------

@@ -445,6 +445,14 @@ def test_experiment_bochner(tmp_path):
     assert doc["flags"]["density_moment_0_improves"]
 
 
+def test_experiment_bochner_refuses_a_vanishing_design_density(tmp_path, capsys):
+    out = tmp_path / "boch.json"
+    assert main(["experiment", "bochner", "--model", "m1", "--x", "50",
+                 "--output", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: design density f_X(50.0) = 0.000e+00")
+    assert not out.exists()
+
+
 def test_plotdata_long_format_and_svg(tmp_path):
     out = tmp_path / "plot.csv"
     svg = tmp_path / "plot.svg"
@@ -675,10 +683,15 @@ def test_non_finite_numbers_are_usage_errors(tmp_path, capsys, argv):
     (["bands", "--model", "m1", "--x-grid", "0:1"], "expected start:stop:count, got '0:1'"),
     (["bands", "--model", "m1", "--x-grid", "0:1:x"], "bad grid spec '0:1:x'"),
     (["bands", "--model", "m1", "--x-grid", "0:1:0"], "grid count must be >= 1"),
+    (["bands", "--model", "m1", "--x-grid=1e308:-1e308:3"],
+     "argument --x-grid: grid '1e308:-1e308:3' overflows: stop - start is not finite"),
+    (["plotdata", "--model", "m1", "--t-grid=-1e308:1e308:2"],
+     "argument --t-grid: grid '-1e308:1e308:2' overflows"),
     (["regression", "--model", "m1", "--y-range", "0:1:2"], "expected lo:hi, got '0:1:2'"),
     (["experiment", "sup", "--model", "m1", "--n-list", "1,a"], "bad integer list '1,a'"),
 ], ids=["sup-order-2", "y-range-not-a-number", "interval-not-a-number", "x-grid-two-parts",
-        "x-grid-count-not-a-number", "x-grid-count-0", "y-range-three-parts", "n-list-not-a-number"])
+        "x-grid-count-not-a-number", "x-grid-count-0", "x-grid-overflows", "t-grid-overflows",
+        "y-range-three-parts", "n-list-not-a-number"])
 def test_malformed_option_values_are_usage_errors(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
@@ -689,6 +702,11 @@ def test_malformed_option_values_are_usage_errors(tmp_path, capsys, argv, messag
     assert err.startswith(f"usage: condbands {command} [-h]")
     assert message in err
     assert not out.exists()
+
+
+def test_a_one_point_grid_may_sit_anywhere_finite():
+    config = parse_args(["bands", "--model", "m1", "--x-grid=1e308:-1e308:1", "--output", "o"])
+    assert config.x_grid == (1e308, -1e308, 1)
 
 
 @pytest.mark.parametrize("argv", [

@@ -161,6 +161,14 @@ def test_non_finite_location_rejected(x, order):
         local_weights(s, x, cfg(order=order))
 
 
+@pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+def test_non_finite_location_message_prints_a_plain_float(x):
+    # a grid point is a numpy float, whose repr would name its type
+    s = Sample(xs=[-0.2, 0.0, 0.1, 0.3], ys=[0.3, 0.4, 0.5, 0.6])
+    with pytest.raises(ValueError, match=f"^location x must be finite, got {x}$"):
+        local_weights(s, np.float64(x), cfg())
+
+
 def test_symmetric_design_order1_equals_order0():
     # symmetric scaled distances kill the first local moment, reducing
     # the order-1 weights to the order-0 ones
@@ -642,6 +650,36 @@ def test_order1_matches_wls_oracle():
             continue
         assert ours == pytest.approx(_wls_intercept(s, x, t, h, GAU), abs=1e-9)
         done += 1
+
+
+def test_order2_matches_wls_oracle():
+    # the order-2 fit against an independent weighted least-squares solve on
+    # (1, u, u^2), u = (X - x) / h: its intercept is the estimate and the
+    # first row of (X'KX)^-1 X'K the weights.  Scaling the columns by h
+    # changes neither, and keeps the 3x3 system well conditioned.
+    rng = np.random.default_rng(203)
+    done = attempts = 0
+    while done < 100 and attempts < 500:
+        attempts += 1
+        n = int(rng.integers(30, 401))
+        kernel = (EPA, UNI, GAU)[rng.integers(3)]
+        h = float(rng.uniform(0.15, 0.6))
+        s = Sample(xs=rng.uniform(-1.5, 1.5, size=n), ys=rng.random(n))
+        x, t = float(rng.uniform(-1.0, 1.0)), float(rng.random())
+        u = (s.xs - x) / h
+        k = kernel.eval(-u)
+        design = np.column_stack([np.ones(n), u, u * u])
+        if np.linalg.cond(np.sqrt(k)[:, None] * design) >= 100:
+            continue
+        gram = design.T @ (k[:, None] * design)
+        rows = np.linalg.solve(gram, design.T * k)
+        z = (s.ys <= t).astype(float)
+        intercept = float(np.linalg.solve(gram, design.T @ (k * z))[0])
+        c = cfg(kernel=kernel, h=h, order=2)
+        assert cdf_estimate(s, x, t, c) == pytest.approx(intercept, abs=1e-9)
+        np.testing.assert_allclose(local_weights(s, x, c).weights, rows[0], rtol=0, atol=1e-9)
+        done += 1
+    assert done == 100
 
 
 # ---------------------------------------------------------------------------

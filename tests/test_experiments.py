@@ -446,6 +446,16 @@ def test_bochner_check_validation():
             bochner_check(M1, x, (0.3,), EPA, t=t)
 
 
+@pytest.mark.parametrize("model,x,kernel", [
+    (M1, 50.0, EPA), (M2, -40.0, UNI), (M1, 1e308, get_kernel("gaussian")),
+])
+def test_bochner_check_refuses_an_x_where_the_design_density_vanishes(model, x, kernel):
+    # f_X(x) underflows to 0 there, so every limit and residual would be 0 and
+    # every flag true; far enough out x * x overflows, which must not warn
+    with pytest.raises(InsufficientLocalData, match=r"design density f_X\(.*\) = 0.000e\+00"):
+        bochner_check(model, x, (0.4, 0.1), kernel)
+
+
 # ---------------------------------------------------------------------------
 # Replicated experiments
 # ---------------------------------------------------------------------------
