@@ -300,8 +300,8 @@ def regression_band(
 ) -> BandTable:
     """Regression band m_hat(x) +/- (b - a) * L(x) for responses in [a, b]."""
     a, b = float(y_range[0]), float(y_range[1])
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"y_range must be finite, got ({a}, {b})")
+    if not math.isfinite(b - a):
+        raise ValueError(f"y_range must be finite, with a finite width, got ({a}, {b})")
     if not a < b:
         raise ValueError(f"y_range must satisfy a < b, got ({a}, {b})")
     if sample.y_range[0] < a or sample.y_range[1] > b:

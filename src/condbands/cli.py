@@ -166,7 +166,10 @@ def _range_spec(text: str) -> tuple:
     parts = text.split(":")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected lo:hi, got {text!r}")
-    return (_finite_float(parts[0]), _finite_float(parts[1]))
+    lo, hi = _finite_float(parts[0]), _finite_float(parts[1])
+    if not math.isfinite(hi - lo):
+        raise argparse.ArgumentTypeError(f"range {text!r} overflows: hi - lo is not finite")
+    return (lo, hi)
 
 
 def _list_type(convert, what: str):

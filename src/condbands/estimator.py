@@ -14,10 +14,10 @@ weights, hence raw distribution curves need not be monotone.
 
 Only the kernel window {i : K(u_i) > 0} contributes to these sums, so every
 fit works on the window alone (Fan & Marron, 1994).  A :class:`Sample`
-caches its X order and sorted xs; for a kernel with compact support the
-window of x is cut from the sorted xs with ``searchsorted`` and the kernel
-is evaluated on that range only (:func:`kernel_window`).  A kernel without
-support (Gaussian) takes the whole sample as its candidate range.
+caches its X order and sorted xs; the window of x is a run of the sorted
+xs cut with ``searchsorted``, and the kernel is evaluated on that run only
+(:func:`kernel_window`).  A kernel without a support (Gaussian) runs over
+the whole sorted sample.
 :class:`LocalWeights` keeps the window's sample indices and weights and
 builds the n-long weight vector on demand.
 """
@@ -25,6 +25,7 @@ builds the n-long weight vector on demand.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -58,6 +59,20 @@ def _check_open_unit(name: str, value, error=ValueError) -> None:
     """Raise ``error`` unless ``value`` lies in the open interval (0, 1)."""
     if not 0.0 < value < 1.0:
         raise error(f"{name} must lie in (0, 1), got {value!r}")
+
+
+def _check_integer(name: str, value) -> int:
+    """``value`` as a Python int; raise ValueError unless it is a non-bool integer."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _check_order(order) -> int:
+    """``order`` as a Python int; raise ValueError unless it is 0, 1 or 2."""
+    if _check_integer("order", order) not in (0, 1, 2):
+        raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
+    return int(order)
 
 
 @dataclass(frozen=True)
@@ -153,7 +168,7 @@ class EstimatorConfig:
     """Settings shared by all local fits.
 
     ``bandwidth`` must lie in the open interval (0, 1); the band theory
-    relies on log(1/h) > 0.
+    relies on log(1/h) > 0.  ``order`` is kept as a Python int.
     """
 
     kernel: Kernel
@@ -162,8 +177,7 @@ class EstimatorConfig:
 
     def __post_init__(self):
         _check_open_unit("bandwidth", self.bandwidth, InvalidBandwidth)
-        if self.order not in (0, 1, 2):
-            raise ValueError(f"order must be 0, 1 or 2, got {self.order!r}")
+        object.__setattr__(self, "order", _check_order(self.order))
 
 
 class KernelWindow(NamedTuple):
@@ -183,9 +197,8 @@ class KernelWindow(NamedTuple):
 class LocalWeights:
     """Weights of the local fit at ``x`` on its kernel window.
 
-    ``window.index`` lists the observations with K(u_i) > 0 (in X order for
-    a kernel with compact support, in sample order otherwise) and
-    ``window_weights`` their weights; every other observation has weight
+    ``window.index`` lists the observations with K(u_i) > 0, in X order,
+    and ``window_weights`` their weights; every other observation has weight
     exactly 0.  The weights sum to one, and for order >= 1 they are
     orthogonal to u.  ``weights`` builds the n-long weight vector on demand.
     ``density`` is the local moment of order zero, d0(x) = sum_i K(u_i) / (n h),
@@ -208,9 +221,7 @@ class LocalWeights:
 
     def at_order(self, order: int) -> LocalWeights:
         """The fit of ``order`` on the same window."""
-        if order not in (0, 1, 2):
-            raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
-        return _fit(self.x, self.window, order, self.n)
+        return _fit(self.x, self.window, _check_order(order), self.n)
 
     def curve(self, sample: Sample, monotonize: bool = True) -> CdfCurve:
         """Estimated conditional distribution curve of this fit.
@@ -289,10 +300,11 @@ def kernel_window(sample: Sample, x: float, cfg: EstimatorConfig) -> KernelWindo
     """The kernel window of a fit at ``x``: the observations with K(u_i) > 0.
 
     For a kernel with support [a, b] only the X in [x - b h, x - a h] are
-    evaluated, cut from the sorted xs with ``searchsorted``.  The range is
-    widened by 16 ulps of |x| + h max(|a|, |b|), more than the rounding of
-    u_i and of the bounds can move a point, so it holds every observation
-    with K(u_i) > 0.  Without a support the whole sample is evaluated.
+    evaluated, a run cut from the sorted xs with ``searchsorted``; a kernel
+    without a support has [a, b] = (-inf, inf), so its run is the whole
+    sorted sample.  The range is widened by 16 ulps of |x| + h max(|a|, |b|),
+    more than the rounding of u_i and of the bounds can move a point, so it
+    holds every observation with K(u_i) > 0.
 
     The sample keeps the last window cut, keyed by the bits of x, the kernel
     object and h, and returns it on a repeat call; its arrays are read-only.
@@ -306,20 +318,16 @@ def kernel_window(sample: Sample, x: float, cfg: EstimatorConfig) -> KernelWindo
     slot = vars(sample).get("_window_slot")
     if slot is not None and slot[0] == key:
         return slot[2]
-    support = cfg.kernel.support
-    if support is None:
-        index, xs = np.arange(sample.n), sample.xs
-    else:
-        a, b = support
-        pad = 16.0 * _EPS * (abs(x) + h * max(-a, b))
-        lo, hi = sample.xs_sorted.searchsorted((x - b * h - pad, x - a * h + pad))
-        index, xs = sample.x_order[lo:hi], sample.xs_sorted[lo:hi]
-    u = x - xs
+    a, b = cfg.kernel.support or (-math.inf, math.inf)
+    pad = 16.0 * _EPS * (abs(x) + h * max(-a, b))
+    lo, hi = sample.xs_sorted.searchsorted((x - b * h - pad, x - a * h + pad))
+    index = sample.x_order[lo:hi]
+    u = x - sample.xs_sorted[lo:hi]
     u /= h
     k = cfg.kernel.eval(u)
-    # u is monotone over the sorted candidates and a kernel with support is
-    # positive on one interval, so K > 0 at both ends means K > 0 throughout
-    if support is None or (k.size > 0 and not (k[0] > 0.0 and k[-1] > 0.0)):
+    # u is monotone over the sorted candidates and every kernel is positive
+    # on one interval, so K > 0 at both ends means K > 0 throughout
+    if k.size > 0 and not (k[0] > 0.0 and k[-1] > 0.0):
         keep = k > 0.0
         if not keep.all():
             index, u, k = index[keep], u[keep], k[keep]
@@ -345,7 +353,7 @@ def local_moments(sample: Sample, x: float, cfg: EstimatorConfig, jmax: int = 2)
 
     Entry j is (1 / (n h)) * sum_i u_i^j K(u_i) with u_i = (x - X_i) / h.
     """
-    if jmax not in (0, 1, 2, 3, 4):
+    if _check_integer("jmax", jmax) not in (0, 1, 2, 3, 4):
         raise ValueError(f"jmax must be in 0..4, got {jmax!r}")
     win = kernel_window(sample, x, cfg)
     return _power_sums(win.u, win.k, jmax) / win.nh

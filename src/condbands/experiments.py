@@ -29,7 +29,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import numbers
 from contextlib import suppress
 from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
@@ -37,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InsufficientLocalData, InvalidBandwidth, QuadratureFailure
-from .estimator import EstimatorConfig, _check_open_unit, _power_sums, _weight_vector
+from .estimator import EstimatorConfig, _check_integer, _check_open_unit, _power_sums, _weight_vector
 from .bands import _DENSITY_TOL, fit_grid
 from .kernels import Kernel
 from .simulation import (
@@ -49,7 +48,6 @@ __all__ = [
     "ExperimentReport",
     "default_x_grid",
     "smoothed_moment",
-    "smoothed_response",
     "centering_oracle",
     "centering_curve",
     "step_sup_deviation",
@@ -78,31 +76,20 @@ def _as_grid(x_grid, interval: tuple[float, float] = DEFAULT_INTERVAL) -> np.nda
 # ---------------------------------------------------------------------------
 
 def smoothed_moment(
-    model: SimModel, kernel: Kernel, h: float, x: float, j: int
+    model: SimModel, kernel: Kernel, h: float, x: float, j: int, t: float | None = None
 ) -> float:
-    """Expectation of local moment j: integral of u^j K(u) f_X(x - h u) du."""
-    return _smoothed(model, kernel, h, x, j)
+    """Expectation of local moment j: integral of u^j K(u) f_X(x - h u) du.
 
-
-def smoothed_response(
-    model: SimModel, kernel: Kernel, h: float, x: float, t: float, j: int
-) -> float:
-    """Expectation of local response j: integral of u^j K(u) f_X F(t | .)."""
-    return _smoothed(model, kernel, h, x, j, t)
-
-
-def _smoothed(model, kernel, h, x, j, t=None):
-    """Adaptive quadrature of u^j K(u) f_X(x - h u), times F(t | x - h u) unless t is None.
-
-    On a compact support the panels split where x - h u meets a kink of the
-    conditional law.
+    With a response point ``t`` the integrand gains the factor F(t | x - h u).
+    Adaptive quadrature; on a compact support its panels split where x - h u
+    meets a kink of the conditional law.
     """
     # Imported here, not at module level: importing scipy.integrate costs
     # about 0.6 s and 44 MB, and nothing else in the package needs it.
     from scipy.integrate import quad
 
     _check_open_unit("bandwidth", h, InvalidBandwidth)
-    a, b = kernel.support if kernel.support is not None else (-np.inf, np.inf)
+    a, b = kernel.support or (-np.inf, np.inf)
 
     def integrand(u):
         v = x - h * u
@@ -131,14 +118,14 @@ def centering_oracle(
     order = _centering_order(cfg.order if order is None else order)
     kernel, h = cfg.kernel, cfg.bandwidth
     m0 = smoothed_moment(model, kernel, h, x, 0)
-    r0 = smoothed_response(model, kernel, h, x, t, 0)
+    r0 = smoothed_moment(model, kernel, h, x, 0, t)
     if order == 0:
         if m0 <= 0.0:
             raise InsufficientLocalData(f"smoothed density vanishes at x = {x}")
         return r0 / m0
     m1 = smoothed_moment(model, kernel, h, x, 1)
     m2 = smoothed_moment(model, kernel, h, x, 2)
-    r1 = smoothed_response(model, kernel, h, x, t, 1)
+    r1 = smoothed_moment(model, kernel, h, x, 1, t)
     den = m0 * m2 - m1 * m1
     if den <= 0.0:
         raise InsufficientLocalData(f"smoothed moment matrix degenerate at x = {x}")
@@ -199,10 +186,10 @@ def centering_curve(
 
 
 def _centering_order(order):
-    """Reject a centering order other than 0 and 1; return it."""
-    if order not in (0, 1):
+    """Reject a centering order other than 0 and 1; return it as a Python int."""
+    if _check_integer("order", order) not in (0, 1):
         raise ValueError(f"centering is available for orders 0 and 1, got {order!r}")
-    return order
+    return int(order)
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +319,7 @@ def _stats(values: np.ndarray) -> dict:
 
 def _check_experiment_args(n, reps, workers):
     for name, value, least in (("n", n, 2), ("reps", reps, 1), ("workers", workers, 1)):
-        if not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if value < least:
+        if _check_integer(name, value) < least:
             raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
@@ -509,7 +494,7 @@ def bochner_check(
         {
             "bandwidth": h,
             "residuals": {
-                key: abs(_smoothed(model, kernel, h, x, j, at) - limit)
+                key: abs(smoothed_moment(model, kernel, h, x, j, at) - limit)
                 for key, (j, at, limit) in moments.items()
             },
         }
@@ -556,8 +541,8 @@ def em_constant_experiment(
     """
     _check_experiment_args(n, reps, workers)
     a, b = float(interval[0]), float(interval[1])
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"interval must be finite, got ({a}, {b})")
+    if not math.isfinite(b - a):
+        raise ValueError(f"interval must be finite, with a finite width, got ({a}, {b})")
     if not a < b:
         raise ValueError(f"interval must satisfy a < b, got ({a}, {b})")
     grid = _as_grid(x_grid, (a, b))

@@ -40,8 +40,9 @@ class Kernel:
     name : str
         Registry name ("epanechnikov", "uniform" or "gaussian").
     support : tuple of float, or None
-        Interval outside which the kernel vanishes, and on one subinterval
-        of which it is positive; None when unbounded.
+        Interval outside which the kernel vanishes; None when unbounded,
+        which local fits read as (-inf, inf).  Every kernel, registered or
+        custom, must be positive on one subinterval of it.
     l2_norm_sq : float
         Integral of the squared kernel.
     moments : tuple of float

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bands import DensityPair
-from .estimator import Sample, _check_open_unit
+from .estimator import Sample, _check_integer, _check_open_unit
 
 __all__ = [
     "MODEL_KINDS",
@@ -75,7 +75,7 @@ def _y_from_uniform(kind: str, x, u):
 
 def draw(model: SimModel, n: int, seed) -> Sample:
     """Draw n pairs (X, Y) from the model using a seeded generator."""
-    if n < 1:
+    if _check_integer("n", n) < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n)
@@ -85,7 +85,7 @@ def draw(model: SimModel, n: int, seed) -> Sample:
 
 def draw_conditional(model: SimModel, x: float, n: int, seed) -> np.ndarray:
     """Draw n responses from the conditional law at a fixed x."""
-    if n < 1:
+    if _check_integer("n", n) < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     u = rng.random(n)

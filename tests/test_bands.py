@@ -379,7 +379,8 @@ def test_regression_band_y_range_violation():
         regression_band(sample, [0.0], cfg(), y_range=(0.2, 1.0))
     with pytest.raises(ValueError):
         regression_band(sample, [0.0], cfg(), y_range=(1.0, 0.0))
-    for y_range in ((-math.inf, math.inf), (0.0, math.inf), (math.nan, 1.0)):
+    # the last range has finite ends, but b - a overflows
+    for y_range in ((-math.inf, math.inf), (0.0, math.inf), (math.nan, 1.0), (-1e308, 1e308)):
         with pytest.raises(ValueError, match="y_range must be finite"):
             regression_band(sample, [0.0], cfg(), y_range=y_range)
 

@@ -688,10 +688,14 @@ def test_non_finite_numbers_are_usage_errors(tmp_path, capsys, argv):
     (["plotdata", "--model", "m1", "--t-grid=-1e308:1e308:2"],
      "argument --t-grid: grid '-1e308:1e308:2' overflows"),
     (["regression", "--model", "m1", "--y-range", "0:1:2"], "expected lo:hi, got '0:1:2'"),
+    (["regression", "--model", "m1", "--y-range=-1e308:1e308"],
+     "argument --y-range: range '-1e308:1e308' overflows: hi - lo is not finite"),
+    (["experiment", "em-constant", "--model", "m1", "--interval=-1e308:1e308"],
+     "argument --interval: range '-1e308:1e308' overflows"),
     (["experiment", "sup", "--model", "m1", "--n-list", "1,a"], "bad integer list '1,a'"),
 ], ids=["sup-order-2", "y-range-not-a-number", "interval-not-a-number", "x-grid-two-parts",
         "x-grid-count-not-a-number", "x-grid-count-0", "x-grid-overflows", "t-grid-overflows",
-        "y-range-three-parts", "n-list-not-a-number"])
+        "y-range-three-parts", "y-range-overflows", "interval-overflows", "n-list-not-a-number"])
 def test_malformed_option_values_are_usage_errors(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:

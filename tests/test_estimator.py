@@ -1,6 +1,8 @@
 import copy
 import dataclasses
+import json
 import pickle
+import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -19,6 +21,9 @@ from condbands import (
     cdf_band,
     cdf_curve,
     cdf_estimate,
+    centering_curve,
+    draw,
+    draw_conditional,
     get_kernel,
     kernel_window,
     local_moments,
@@ -26,6 +31,8 @@ from condbands import (
     quantile_estimate,
     reference_bandwidth,
     regression_estimate,
+    sim_model,
+    sup_experiment,
 )
 from condbands.estimator import CdfCurve
 
@@ -73,6 +80,39 @@ def test_config_validation():
         cfg(h=-0.3)
     with pytest.raises(ValueError):
         cfg(order=3)
+
+
+SMALL = Sample(xs=[-0.2, 0.0, 0.1, 0.3], ys=[0.1, 0.4, 0.2, 0.9])
+M1 = sim_model("m1")
+
+# entry point -> (argument name, call with the argument set to a value)
+INTEGER_ARGUMENTS = {
+    "EstimatorConfig": ("order", lambda v: cfg(order=v)),
+    "at_order": ("order", lambda v: local_weights(SMALL, 0.0, cfg()).at_order(v)),
+    "local_moments": ("jmax", lambda v: local_moments(SMALL, 0.0, cfg(), jmax=v)),
+    "draw": ("n", lambda v: draw(M1, v, 0)),
+    "draw_conditional": ("n", lambda v: draw_conditional(M1, 0.0, v, 0)),
+    "centering_curve": ("order", lambda v: centering_curve(M1, 0.0, [0.5], EPA, 0.5, v)),
+    "sup_experiment": ("reps", lambda v: sup_experiment(M1, 50, v, cfg(order=0))),
+}
+
+
+@pytest.mark.parametrize("value", [1.0, 2.5, True, False], ids=repr)
+@pytest.mark.parametrize("entry", INTEGER_ARGUMENTS)
+def test_integer_arguments_must_be_integers(entry, value):
+    # a float or a bool used to pass the range check and fail inside numpy,
+    # or to be taken as 0 or 1
+    name, call = INTEGER_ARGUMENTS[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
+        call(value)
+
+
+def test_a_numpy_integer_order_is_kept_as_an_int():
+    c = cfg(order=np.int64(1))
+    assert type(c.order) is int and c == cfg(order=1)
+    table = cdf_band(SMALL, [0.0], "jumps", c)
+    assert json.loads(table.to_json())["metadata"]["order"] == 1
+    assert type(local_weights(SMALL, 0.0, c).at_order(np.int8(0)).order) is int
 
 
 def test_reference_bandwidth():
@@ -337,17 +377,15 @@ def test_fit_at_another_order_matches_a_direct_fit(kernel):
 
 
 def _reference_window(s, x, c):
-    """The kernel window with a full K > 0 mask over the candidate range,
-    and whether the mask dropped a candidate."""
-    h, support = c.bandwidth, c.kernel.support
-    if support is None:
-        index, xs = np.arange(s.n), s.xs
-    else:
-        a, b = support
-        pad = 16.0 * np.finfo(float).eps * (abs(x) + h * max(-a, b))
-        lo, hi = s.xs_sorted.searchsorted((x - b * h - pad, x - a * h + pad))
-        index, xs = s.x_order[lo:hi], s.xs_sorted[lo:hi]
-    u = (x - xs) / h
+    """The kernel window with a full K > 0 mask over the sorted candidate
+    run, and whether the mask dropped a candidate.  A kernel without a
+    support runs over the whole sorted sample."""
+    h = c.bandwidth
+    a, b = c.kernel.support or (-np.inf, np.inf)
+    pad = 16.0 * np.finfo(float).eps * (abs(x) + h * max(-a, b))
+    lo, hi = s.xs_sorted.searchsorted((x - b * h - pad, x - a * h + pad))
+    u = (x - s.xs_sorted[lo:hi]) / h
+    index = s.x_order[lo:hi]
     k = c.kernel.eval(u)
     keep = k > 0.0
     return index[keep], u[keep], k[keep], not keep.all()
@@ -735,9 +773,9 @@ def reference_curve(fit, sample, monotonize):
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_curve_is_the_concatenating_builder_bit_for_bit(kernel, order):
     # responses with many ties, equal to the range ends too, and windows whose
-    # sample indices are in X order (compact kernels) or sample order
-    # (Gaussian); 600 points rank in uint16 and radix-sort each window, and
-    # 70 000 rank in intp and take the default sort
+    # sample indices are in X order, not increasing; 600 points rank in
+    # uint16 and radix-sort each window, and 70 000 rank in intp and take
+    # the default sort
     rng = np.random.default_rng(order)
     for n, rank_dtype in ((600, np.uint16), (70_000, np.intp)):
         xs = rng.normal(size=n)

@@ -1,10 +1,12 @@
 import json
 import math
+import re
 import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.integrate
 from conftest import counting_kernel
 from scipy.integrate import quad
 
@@ -14,6 +16,7 @@ from condbands import (
     EstimatorConfig,
     InsufficientLocalData,
     InvalidBandwidth,
+    QuadratureFailure,
     band_halfwidth,
     bochner_check,
     cdf_band,
@@ -32,7 +35,6 @@ from condbands import (
     regression_band,
     sim_model,
     smoothed_moment,
-    smoothed_response,
     sup_experiment,
     true_cdf,
 )
@@ -103,9 +105,32 @@ def test_centering_order_validation():
     with pytest.raises(InvalidBandwidth):
         smoothed_moment(M1, EPA, 1.0, 0.0, 0)
     with pytest.raises(InvalidBandwidth):
-        smoothed_response(M1, EPA, 1.5, 0.0, 0.5, 0)
+        smoothed_moment(M1, EPA, 1.5, 0.0, 0, 0.5)
     with pytest.raises(InvalidBandwidth):
         centering_curve(M1, 0.0, np.array([0.5]), EPA, 1.0, 1)
+
+
+def test_centering_refuses_a_location_without_design_mass():
+    # f_X(x - h u) underflows to 0 across the window at x = 40; at x = 36 the
+    # smoothed moments are near 1e-280, so m0 m2 - m1^2 underflows to 0
+    with pytest.raises(InsufficientLocalData, match=r"^smoothed density vanishes at x = 40$"):
+        centering_oracle(M1, 40, 0.5, cfg(order=0))
+    with pytest.raises(InsufficientLocalData, match=r"^smoothed moment matrix degenerate at x = 36$"):
+        centering_oracle(M1, 36, 0.5, cfg(order=1))
+    with pytest.raises(InsufficientLocalData, match=r"^smoothed density vanishes at x = 40\.0$"):
+        centering_curve(M1, 40.0, np.array([0.5]), EPA, 0.3, 0)
+
+
+@pytest.mark.parametrize("value,err", [(0.5, 2e-8), (math.nan, 0.0)], ids=["error", "nan"])
+def test_quadrature_failure_is_reported(monkeypatch, value, err):
+    monkeypatch.setattr(scipy.integrate, "quad", lambda *args, **kwargs: (value, err))
+    tail = re.escape(f" quadrature error {err:.2e} exceeds 1e-08")
+    with pytest.raises(QuadratureFailure, match=f"^moment{tail}$"):
+        smoothed_moment(M1, EPA, 0.3, 0.0, 0)
+    with pytest.raises(QuadratureFailure, match=f"^response{tail}$"):
+        smoothed_moment(M1, EPA, 0.3, 0.0, 1, 0.5)
+    with pytest.raises(QuadratureFailure):
+        centering_oracle(M1, 0.0, 0.5, cfg())
 
 
 @pytest.mark.parametrize("kernel", [EPA, UNI, get_kernel("gaussian")])
@@ -156,7 +181,7 @@ def test_m2_smoothed_response_matches_quadrature_split_at_the_kinks(j):
         return u ** j * EPA.eval(u) * marginal_density(M2, x - h * u) * cdf
 
     expected, _ = quad(integrand, -1.0, 1.0, points=kinks, epsabs=1e-13, epsrel=1e-13, limit=200)
-    assert smoothed_response(M2, EPA, h, x, t, j) == pytest.approx(expected, rel=0, abs=1e-12)
+    assert smoothed_moment(M2, EPA, h, x, j, t) == pytest.approx(expected, rel=0, abs=1e-12)
 
 
 def test_centering_matches_monte_carlo():
@@ -172,7 +197,7 @@ def test_centering_matches_monte_carlo():
     r0_terms = k_vals * (sample.ys <= t)
     for terms, target in (
         (m0_terms, smoothed_moment(M1, EPA, h, x, 0)),
-        (r0_terms, smoothed_response(M1, EPA, h, x, t, 0)),
+        (r0_terms, smoothed_moment(M1, EPA, h, x, 0, t)),
     ):
         se = terms.std() / math.sqrt(n)
         assert abs(terms.mean() - target) <= 3.0 * se
@@ -713,7 +738,7 @@ def test_em_constant_references():
     assert {"order0", "order1"} <= set(report.summaries[0])
     with pytest.raises(ValueError):
         em_constant_experiment(M1, 200, 2, c0, interval=(1.0, -1.0))
-    for interval in ((-math.inf, 1.0), (-1.0, math.nan)):
+    for interval in ((-math.inf, 1.0), (-1.0, math.nan), (-1e308, 1e308)):
         with pytest.raises(ValueError, match="interval must be finite"):
             em_constant_experiment(M1, 200, 2, c0, interval=interval)
 
