@@ -444,6 +444,6 @@ def quantile_estimate(curve: CdfCurve, alpha: float) -> float:
 
 def reference_bandwidth(n: int) -> float:
     """Default bandwidth n**(-1/5); needs n >= 2 to stay below 1."""
-    if n < 2:
+    if _check_integer("n", n) < 2:
         raise InvalidBandwidth(f"reference bandwidth needs n >= 2, got n = {n}")
     return float(n) ** -0.2

@@ -94,6 +94,7 @@ INTEGER_ARGUMENTS = {
     "draw_conditional": ("n", lambda v: draw_conditional(M1, 0.0, v, 0)),
     "centering_curve": ("order", lambda v: centering_curve(M1, 0.0, [0.5], EPA, 0.5, v)),
     "sup_experiment": ("reps", lambda v: sup_experiment(M1, 50, v, cfg(order=0))),
+    "reference_bandwidth": ("n", reference_bandwidth),
 }
 
 

@@ -107,3 +107,6 @@ def test_moment_order_validation():
         k.moment(5)
     with pytest.raises(ValueError):
         k.moment(-1)
+    for j in (True, False, 1.0):
+        with pytest.raises(ValueError, match="^moment order must be an integer in 0..4"):
+            k.moment(j)
