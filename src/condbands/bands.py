@@ -26,6 +26,7 @@ from . import floatfmt
 from .errors import (
     InsufficientLocalData,
     InvalidBandwidth,
+    NoCrossing,
     YRangeViolation,
     ZeroJointDensity,
 )
@@ -33,6 +34,9 @@ from .estimator import (
     EstimatorConfig,
     LocalWeights,
     Sample,
+    _check_grid,
+    _check_integer,
+    _check_interval,
     _check_open_unit,
     kernel_window,
     local_moments,
@@ -145,14 +149,15 @@ def certainty_halfwidth(
 ) -> float:
     """The half-width formula on raw inputs; validates h, n, |K|_2^2 and the density."""
     _check_open_unit("bandwidth", bandwidth, InvalidBandwidth)
-    if not n >= 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
-    if not l2_norm_sq > 0.0:
-        raise ValueError(f"l2_norm_sq must be positive, got {l2_norm_sq!r}")
+    _check_integer("n", n, least=1)
+    if not 0.0 < l2_norm_sq < math.inf:
+        raise ValueError(f"l2_norm_sq must be positive and finite, got {l2_norm_sq!r}")
     if not density_at_x > _DENSITY_TOL:
         raise InsufficientLocalData(
             f"design density estimate {density_at_x:.3e} too small for a band"
         )
+    if density_at_x == math.inf:
+        raise ValueError(f"density_at_x must be finite, got {density_at_x!r}")
     log_inv_h = math.log(1.0 / bandwidth)
     return math.sqrt(l2_norm_sq * log_inv_h / (2.0 * n * bandwidth * density_at_x))
 
@@ -172,25 +177,20 @@ def fit_grid(
     """Fit each grid location once and keep ``reduce(x, fit, L(x))``.
 
     L(x) comes from the fit's own d0(x).  Locations whose fit, half-width or
-    reduction is degenerate (``InsufficientLocalData``, ``ZeroJointDensity``)
-    are skipped; returns the kept reductions in grid order and the skipped
-    locations.  Only the reductions are kept, not the fits, so
-    memory does not grow with the grid.
+    reduction is degenerate (``InsufficientLocalData``, ``NoCrossing``,
+    ``ZeroJointDensity``) are skipped; returns the kept reductions in grid
+    order and the skipped locations.  Only the reductions are kept, not the
+    fits, so memory does not grow with the grid.
     """
-    x_grid = np.asarray(x_grid, dtype=float)
-    if x_grid.size == 0:
-        raise ValueError("x_grid must not be empty")
-    if x_grid.ndim != 1:
-        raise ValueError(f"x_grid must be one-dimensional, got shape {x_grid.shape}")
     kept, skipped = [], []
-    for x in x_grid:
+    for x in _check_grid("x_grid", x_grid):
         try:
             fit = local_weights(sample, x, cfg)
             half = certainty_halfwidth(
                 cfg.kernel.l2_norm_sq, cfg.bandwidth, sample.n, fit.density
             )
             kept.append(reduce(x, fit, half))
-        except (InsufficientLocalData, ZeroJointDensity):
+        except (InsufficientLocalData, NoCrossing, ZeroJointDensity):
             skipped.append(float(x))
     if not kept:
         raise InsufficientLocalData("every grid location had a degenerate local fit")
@@ -232,11 +232,7 @@ def _cdf_reduction(sample: Sample, t_grid, epsilon: float, clip: bool) -> Callab
         if t_grid != "jumps":
             raise ValueError(f'unknown t_grid mode {t_grid!r}; expected "jumps"')
     else:
-        t_grid = np.asarray(t_grid, dtype=float)
-        if t_grid.size == 0:
-            raise ValueError("t_grid must not be empty")
-        if t_grid.ndim != 1:
-            raise ValueError(f"t_grid must be one-dimensional, got shape {t_grid.shape}")
+        t_grid = _check_grid("t_grid", t_grid)
         if np.isnan(t_grid).any():
             raise ValueError("t_grid must not contain NaN")
         # Y_i <= t_(j) exactly when j >= bins[i], for the j-th smallest t, so
@@ -299,11 +295,7 @@ def regression_band(
     y_range: tuple[float, float],
 ) -> BandTable:
     """Regression band m_hat(x) +/- (b - a) * L(x) for responses in [a, b]."""
-    a, b = float(y_range[0]), float(y_range[1])
-    if not math.isfinite(b - a):
-        raise ValueError(f"y_range must be finite, with a finite width, got ({a}, {b})")
-    if not a < b:
-        raise ValueError(f"y_range must satisfy a < b, got ({a}, {b})")
+    a, b = _check_interval("y_range", y_range)
     if sample.y_range[0] < a or sample.y_range[1] > b:
         raise YRangeViolation(
             f"responses fall outside the declared range [{a}, {b}]"
@@ -328,9 +320,10 @@ def quantile_band(
     estimated quantile.  For alpha in (0, 1) the first point where the raw
     curve reaches alpha is the first where its monotonized form (running
     maximum clipped to [0, 1]) does, so inverting the raw curve gives the
-    quantile of either.  A location with a degenerate fit or a non-finite
-    or non-positive density is skipped and recorded in the metadata; the
-    metadata names the density source of the last kept location.
+    quantile of either.  A location with a degenerate fit, a raw curve
+    that never reaches alpha, or a non-finite or non-positive density is
+    skipped and recorded in the metadata; the metadata names the density
+    source of the last kept location.
     """
     _check_open_unit("alpha", alpha)
 

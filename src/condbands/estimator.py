@@ -61,11 +61,37 @@ def _check_open_unit(name: str, value, error=ValueError) -> None:
         raise error(f"{name} must lie in (0, 1), got {value!r}")
 
 
-def _check_integer(name: str, value) -> int:
-    """``value`` as a Python int; raise ValueError unless it is a non-bool integer."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+def _check_integer(name: str, value, least: int | None = None) -> int:
+    """``value`` as a Python int; raise ValueError unless it is a non-bool integer >= ``least``."""
+    # a plain int skips the isinstance tests: this guards the half-width of every band location
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
     return int(value)
+
+
+def _check_interval(name: str, pair) -> tuple[float, float]:
+    """``pair`` as floats (a, b); raise ValueError unless a < b with b - a finite."""
+    try:
+        a, b = (float(v) for v in pair)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a pair (a, b) of numbers, got {pair!r}") from None
+    if not math.isfinite(b - a):
+        raise ValueError(f"{name} must be finite, with a finite width, got ({a}, {b})")
+    if not a < b:
+        raise ValueError(f"{name} must satisfy a < b, got ({a}, {b})")
+    return a, b
+
+
+def _check_grid(name: str, values) -> np.ndarray:
+    """``values`` as a float array; raise ValueError unless it is non-empty and one-dimensional."""
+    grid = np.asarray(values, dtype=float)
+    if grid.size == 0:
+        raise ValueError(f"{name} must not be empty")
+    if grid.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional, got shape {grid.shape}")
+    return grid
 
 
 def _check_order(order) -> int:

@@ -36,7 +36,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InsufficientLocalData, InvalidBandwidth, QuadratureFailure
-from .estimator import EstimatorConfig, _check_integer, _check_open_unit, _power_sums, _weight_vector
+from .estimator import (
+    EstimatorConfig, _check_grid, _check_integer, _check_interval, _check_open_unit, _power_sums,
+    _weight_vector,
+)
 from .bands import _DENSITY_TOL, fit_grid
 from .kernels import Kernel
 from .simulation import (
@@ -319,8 +322,7 @@ def _stats(values: np.ndarray) -> dict:
 
 def _check_experiment_args(n, reps, workers):
     for name, value, least in (("n", n, 2), ("reps", reps, 1), ("workers", workers, 1)):
-        if _check_integer(name, value) < least:
-            raise ValueError(f"{name} must be >= {least}, got {value}")
+        _check_integer(name, value, least)
 
 
 def _replicate(model, n, reps, seed, stat) -> list[np.ndarray]:
@@ -467,9 +469,7 @@ def bochner_check(
     and the odd density moment vanishes.  An x where f_X(x) is at most the
     bands' density tolerance is refused: every limit there would be 0.
     """
-    hs = [float(h) for h in h_sequence]
-    if not hs:
-        raise ValueError("h_sequence must not be empty")
+    hs = _check_grid("h_sequence", h_sequence).tolist()
     for h in hs:
         _check_open_unit("bandwidth", h, InvalidBandwidth)
     if any(b >= a for a, b in zip(hs, hs[1:])):
@@ -540,11 +540,7 @@ def em_constant_experiment(
     locations are counted over both fits.
     """
     _check_experiment_args(n, reps, workers)
-    a, b = float(interval[0]), float(interval[1])
-    if not math.isfinite(b - a):
-        raise ValueError(f"interval must be finite, with a finite width, got ({a}, {b})")
-    if not a < b:
-        raise ValueError(f"interval must satisfy a < b, got ({a}, {b})")
+    a, b = _check_interval("interval", interval)
     grid = _as_grid(x_grid, (a, b))
     inf_fx = float(marginal_density(model, np.linspace(a, b, 2049)).min())
     theta = math.sqrt(cfg.kernel.l2_norm_sq) / math.sqrt(2.0 * inf_fx)

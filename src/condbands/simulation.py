@@ -75,8 +75,7 @@ def _y_from_uniform(kind: str, x, u):
 
 def draw(model: SimModel, n: int, seed) -> Sample:
     """Draw n pairs (X, Y) from the model using a seeded generator."""
-    if _check_integer("n", n) < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_integer("n", n, least=1)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n)
     u = rng.random(n)
@@ -85,8 +84,7 @@ def draw(model: SimModel, n: int, seed) -> Sample:
 
 def draw_conditional(model: SimModel, x: float, n: int, seed) -> np.ndarray:
     """Draw n responses from the conditional law at a fixed x."""
-    if _check_integer("n", n) < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_integer("n", n, least=1)
     rng = np.random.default_rng(seed)
     u = rng.random(n)
     return _y_from_uniform(model.kind, np.full(n, float(x)), u)

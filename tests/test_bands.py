@@ -15,6 +15,7 @@ from condbands import (
     InsufficientLocalData,
     InvalidBandwidth,
     LocalWeights,
+    NoCrossing,
     Sample,
     YRangeViolation,
     band_halfwidth,
@@ -71,9 +72,12 @@ def test_halfwidth_validation():
             certainty_halfwidth(0.6, 0.3, 100, density)
     with pytest.raises(ValueError, match="n must be >= 1"):
         certainty_halfwidth(0.6, 0.3, 0, 0.4)
-    for l2 in (-0.6, 0.0, math.nan):
+    for l2 in (-0.6, 0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="l2_norm_sq must be positive"):
             certainty_halfwidth(l2, 0.3, 100, 0.4)
+    # an infinite density gave a zero half-width
+    with pytest.raises(ValueError, match="density_at_x must be finite, got inf"):
+        certainty_halfwidth(0.6, 0.3, 100, math.inf)
 
 
 def test_band_halfwidth_on_model_sample():
@@ -545,6 +549,21 @@ def test_quantile_band_skips_a_location_with_a_non_finite_density(name, value):
     assert table.x.tolist() == [0.5]
     assert table.metadata["skipped_locations"] == [0.0]
     assert np.isfinite(table.halfwidth).all() and (table.halfwidth > 0.0).all()
+
+
+def test_quantile_band_skips_a_location_whose_curve_never_reaches_alpha():
+    # the raw curve ends at a sum of weights, which rounding leaves below
+    # 1 - 2**-53 at some locations and not at others
+    sample = draw(M1, 2000, 0)
+    c = cfg(h=reference_bandwidth(2000))
+    alpha = float(np.nextafter(1.0, 0.0))
+    grid = np.linspace(-1.0, 1.0, 41)
+    table = quantile_band(sample, grid, alpha, c, lambda x, q: density_plugin(sample, x, q, c))
+    skipped = table.metadata["skipped_locations"]
+    assert skipped and len(table) + len(skipped) == grid.size
+    for x in skipped:
+        with pytest.raises(NoCrossing):
+            quantile_estimate(cdf_curve(sample, x, c, monotonize=False), alpha)
 
 
 def test_quantile_band_alpha_validation():

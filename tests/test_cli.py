@@ -313,6 +313,18 @@ def test_quantile_oracle_density(tmp_path):
     assert all(r["lower"] <= r["estimate"] <= r["upper"] for r in doc["rows"])
 
 
+def test_quantile_skips_a_location_whose_curve_never_reaches_alpha(tmp_path, capsys):
+    # one such location used to fail the whole band with "curve never reaches level"
+    out = tmp_path / "q.csv"
+    assert main(["quantile", "--model", "m1", "--n", "2000", "--alpha", "0.9999999999999999",
+                 "--output", str(out)]) == 0
+    rows = out.read_text().strip().splitlines()[1:]
+    err = capsys.readouterr().err
+    assert err.startswith("note: skipped degenerate locations [")
+    skipped = err[err.index("[") + 1 : err.index("]")].split(", ")
+    assert rows and len(rows) + len(skipped) == 41
+
+
 def test_quantile_oracle_density_requires_a_model(tmp_path, capsys):
     src = write(tmp_path / "s.csv", "x,y\n0.0,0.5\n0.1,0.2\n")
     out = tmp_path / "q.csv"

@@ -22,6 +22,7 @@ from condbands import (
     cdf_curve,
     cdf_estimate,
     centering_curve,
+    certainty_halfwidth,
     draw,
     draw_conditional,
     get_kernel,
@@ -95,6 +96,7 @@ INTEGER_ARGUMENTS = {
     "centering_curve": ("order", lambda v: centering_curve(M1, 0.0, [0.5], EPA, 0.5, v)),
     "sup_experiment": ("reps", lambda v: sup_experiment(M1, 50, v, cfg(order=0))),
     "reference_bandwidth": ("n", reference_bandwidth),
+    "certainty_halfwidth": ("n", lambda v: certainty_halfwidth(0.6, 0.3, v, 1.0)),
 }
 
 

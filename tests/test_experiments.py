@@ -766,6 +766,33 @@ def test_grid_of_another_shape_is_a_value_error_at_every_entry_point(entry, grid
         EMPTY_GRID_CALLS[entry](draw(M1, 100, 1), cfg(), grid)
 
 
+BAD_PAIRS = {"one-entry": (0.0,), "three-entry": (0.0, 1.0, 9.0)}
+BAD_GRIDS = {"scalar": 0.4, "nested": [[0.4, 0.2]], "empty": []}
+# entry point -> (argument, call with the argument set to a value, values it refuses)
+SHAPE_ARGUMENTS = {
+    "regression_band": ("y_range", lambda v: regression_band(draw(M1, 100, 1), [0.0], cfg(), v),
+                        BAD_PAIRS),
+    "em_constant_experiment": ("interval", lambda v: em_constant_experiment(
+        M1, 100, 1, cfg(), interval=v), BAD_PAIRS),
+    "fit_grid": ("x_grid", lambda v: fit_grid(draw(M1, 100, 1), v, cfg(), lambda *row: row),
+                 BAD_GRIDS),
+    "cdf_band": ("t_grid", lambda v: cdf_band(draw(M1, 100, 1), [0.0], v, cfg()), BAD_GRIDS),
+    "bochner_check": ("h_sequence", lambda v: bochner_check(M1, 0.0, v, EPA), BAD_GRIDS),
+}
+
+
+@pytest.mark.parametrize("entry, value", [
+    pytest.param(entry, value, id=f"{entry}-{kind}")
+    for entry, (_, _, bad) in SHAPE_ARGUMENTS.items() for kind, value in bad.items()
+])
+def test_pair_and_grid_arguments_of_another_shape_are_value_errors(entry, value):
+    # a one-entry pair was an IndexError, a three-entry one dropped its last
+    # entry, and a scalar h_sequence was a TypeError
+    name, call, _ = SHAPE_ARGUMENTS[entry]
+    with pytest.raises(ValueError, match=f"^{name} must (be a pair|not be empty|be one-dim)"):
+        call(value)
+
+
 def test_report_json_is_sorted_and_plain():
     c = EstimatorConfig(kernel=EPA, bandwidth=0.3, order=1)
     report = sup_experiment(M1, 150, 2, c, seed=8)
