@@ -57,6 +57,7 @@ __all__ = [
 
 # A design or joint density at or below this is too small for a band.
 _DENSITY_TOL = 1e-12
+_N_MAX = float(np.finfo(float).max) / 2  # the largest n for which 2.0 * n is finite
 
 
 @dataclass(frozen=True)
@@ -149,7 +150,8 @@ def certainty_halfwidth(
 ) -> float:
     """The half-width formula on raw inputs; validates h, n, |K|_2^2 and the density."""
     _check_open_unit("bandwidth", bandwidth, InvalidBandwidth)
-    _check_integer("n", n, least=1)
+    if _check_integer("n", n, least=1) > _N_MAX:
+        raise ValueError(f"n must be at most {_N_MAX:.4g}, got a {int(n).bit_length()}-bit integer")
     if not 0.0 < l2_norm_sq < math.inf:
         raise ValueError(f"l2_norm_sq must be positive and finite, got {l2_norm_sq!r}")
     if not density_at_x > _DENSITY_TOL:
@@ -197,33 +199,45 @@ def fit_grid(
     return kept, skipped
 
 
-def _point_columns(rows: list) -> tuple:
-    """Table columns of one row per location from (x, estimate, halfwidth, ...) rows."""
-    xs, est, hw = (np.asarray(col) for col in list(zip(*rows))[:3])
-    return xs, np.full(xs.size, np.nan), est, hw, est - hw, est + hw
+def _table_columns(rows: list, clip: bool = False) -> tuple[np.ndarray, ...]:
+    """The six table columns of ``rows`` of (x, t, estimate, halfwidth, ...).
+
+    x and the half-width repeat over each row's t and estimate (scalars or
+    equal-length arrays).  ``rows`` is emptied once copied: the table is held once.
+    """
+    sizes = [np.size(row[1]) for row in rows]
+    x = np.repeat([row[0] for row in rows], sizes)
+    halfwidth = np.repeat([row[3] for row in rows], sizes)
+    t, estimate = (np.concatenate([np.atleast_1d(row[k]) for row in rows]) for k in (1, 2))
+    rows.clear()
+    lower, upper = estimate - halfwidth, estimate + halfwidth
+    if clip:
+        np.clip(lower, 0.0, 1.0, out=lower)
+        np.clip(upper, 0.0, 1.0, out=upper)
+    return x, t, estimate, halfwidth, lower, upper
 
 
 def _band_table(
     sample: Sample, x_grid: Sequence[float], cfg: EstimatorConfig, kind: str, reduce: Callable,
-    settings: Callable[[list], dict], columns: Callable[[list], tuple] = _point_columns,
+    settings: Callable[[list], dict], clip: bool = False,
 ) -> BandTable:
     """The ``kind`` band table of ``reduce`` at each location of ``x_grid``.
 
-    ``columns(kept)`` turns the kept reductions into the six table columns
-    and ``settings(kept)`` gives the metadata that follows the common keys.
+    ``reduce`` gives a location's rows for :func:`_table_columns`, ``clip``
+    goes to it, and ``settings(kept)`` gives the metadata after the common keys.
     """
     kept, skipped = fit_grid(sample, x_grid, cfg, reduce)
     del reduce  # it may hold arrays as long as the sample; free them before the columns
-    meta = {"kind": kind, "order": cfg.order, "kernel": cfg.kernel.name,
-            "bandwidth": cfg.bandwidth, "n": sample.n, "skipped_locations": skipped}
-    return BandTable(*columns(kept), metadata={**meta, **settings(kept)})
+    meta = {"kind": kind, "order": cfg.order, "kernel": cfg.kernel.name, "bandwidth": cfg.bandwidth,
+            "n": sample.n, "skipped_locations": skipped, **settings(kept)}
+    return BandTable(*_table_columns(kept, clip), metadata=meta)
 
 
-def _cdf_reduction(sample: Sample, t_grid, epsilon: float, clip: bool) -> Callable:
+def _cdf_reduction(sample: Sample, t_grid, epsilon: float) -> Callable:
     """Per-location reduction of :func:`cdf_band` for :func:`fit_grid`.
 
-    It gives the location's block of rows as the tuple of arrays
-    (x, t, estimate, halfwidth, lower, upper).
+    It gives the location's rows as (x, t, estimate, halfwidth) with t and
+    the estimate as arrays: the curve's jumps, or the grid and the curve there.
     """
     if not 0.0 <= epsilon < 1.0:
         raise ValueError(f"epsilon must lie in [0, 1), got {epsilon!r}")
@@ -243,22 +257,11 @@ def _cdf_reduction(sample: Sample, t_grid, epsilon: float, clip: bool) -> Callab
         bins = np.searchsorted(t_grid[t_order], sample.ys, side="left")
 
     def block(x, fit, half_l):
-        half = (1.0 + epsilon) * half_l
         if use_jumps:
             curve = fit.curve(sample, monotonize=False)
-            t_here, e_here = curve.jump_ts, curve.values
-        else:
-            binned = np.bincount(
-                bins[fit.window.index], fit.window_weights, minlength=t_grid.size + 1
-            )
-            t_here, e_here = t_grid, np.cumsum(binned[:-1])[t_rank]
-        lo_here = e_here - half
-        up_here = e_here + half
-        if clip:
-            lo_here = np.clip(lo_here, 0.0, 1.0)
-            up_here = np.clip(up_here, 0.0, 1.0)
-        size = t_here.size
-        return (np.full(size, x), t_here, e_here, np.full(size, half), lo_here, up_here)
+            return x, curve.jump_ts, curve.values, (1.0 + epsilon) * half_l
+        binned = np.bincount(bins[fit.window.index], fit.window_weights, minlength=t_grid.size + 1)
+        return x, t_grid, np.cumsum(binned[:-1])[t_rank], (1.0 + epsilon) * half_l
 
     return block
 
@@ -282,9 +285,8 @@ def cdf_band(
     """
     t_mode = "jumps" if isinstance(t_grid, str) else "explicit"
     return _band_table(
-        sample, x_grid, cfg, "cdf", _cdf_reduction(sample, t_grid, epsilon, clip),
-        lambda blocks: {"epsilon": epsilon, "clipped": clip, "t_grid": t_mode},
-        lambda blocks: [np.concatenate(col) for col in zip(*blocks)],
+        sample, x_grid, cfg, "cdf", _cdf_reduction(sample, t_grid, epsilon),
+        lambda blocks: {"epsilon": epsilon, "clipped": clip, "t_grid": t_mode}, clip,
     )
 
 
@@ -297,12 +299,10 @@ def regression_band(
     """Regression band m_hat(x) +/- (b - a) * L(x) for responses in [a, b]."""
     a, b = _check_interval("y_range", y_range)
     if sample.y_range[0] < a or sample.y_range[1] > b:
-        raise YRangeViolation(
-            f"responses fall outside the declared range [{a}, {b}]"
-        )
+        raise YRangeViolation(f"responses fall outside the declared range [{a}, {b}]")
 
     def row(x, fit, half_l):
-        return float(x), fit.regression(sample), (b - a) * half_l
+        return float(x), math.nan, fit.regression(sample), (b - a) * half_l
 
     return _band_table(sample, x_grid, cfg, "regression", row, lambda rows: {"y_range": [a, b]})
 
@@ -338,10 +338,10 @@ def quantile_band(
             raise ZeroJointDensity(
                 f"joint density {pair.fxy!r} at (x, q) = ({x}, {q}) is not finite above tolerance"
             )
-        return float(x), q, 2.0 * half_l * pair.fx / pair.fxy, pair.source
+        return float(x), math.nan, q, 2.0 * half_l * pair.fx / pair.fxy, pair.source
 
     def settings(rows):
-        meta = {"alpha": alpha, "density_source": rows[-1][3]}
+        meta = {"alpha": alpha, "density_source": rows[-1][4]}
         if meta["density_source"] == "plugin":
             meta["density_note"] = (
                 "plug-in densities reuse the estimation bandwidth in both coordinates"

@@ -388,10 +388,8 @@ def _table_command(build):
 
 
 def _bands(config, sample, model, cfg):
-    return bands_mod.cdf_band(
-        sample, _linspace(config.x_grid), _t_grid(config, sample), cfg,
-        epsilon=config.epsilon, clip=config.clip,
-    )
+    return bands_mod.cdf_band(sample, _linspace(config.x_grid), _t_grid(config, sample), cfg,
+                              epsilon=config.epsilon, clip=config.clip)
 
 
 def _regression(config, sample, model, cfg):
@@ -407,9 +405,7 @@ def _quantile(config, sample, model, cfg):
         def provider(x, y):
             return bands_mod.density_plugin(sample, x, y, cfg)
 
-    return bands_mod.quantile_band(
-        sample, _linspace(config.x_grid), config.alpha, cfg, provider
-    )
+    return bands_mod.quantile_band(sample, _linspace(config.x_grid), config.alpha, cfg, provider)
 
 
 def _each_n(experiment, *own: str):
@@ -511,12 +507,13 @@ def _cmd_plotdata(config: argparse.Namespace) -> int:
     cfg = _estimator_config(config, sample.n)
     blocks, skipped = bands_mod.fit_grid(
         sample, _linspace(config.x_grid), cfg,
-        bands_mod._cdf_reduction(sample, _t_grid(config, sample), config.epsilon, config.clip),
+        bands_mod._cdf_reduction(sample, _t_grid(config, sample), config.epsilon),
     )
     _note_skipped(skipped)
     # (x, ts, {series name: values}) per location, in CSV row order
     panels = []
-    for xs, ts, estimate, _, lower, upper in blocks:
+    for block in blocks:
+        xs, ts, estimate, _, lower, upper = bands_mod._table_columns([block], config.clip)
         x = float(xs[0])
         series = {"estimate": estimate, "lower": lower, "upper": upper}
         if model is not None:

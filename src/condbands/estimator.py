@@ -74,6 +74,8 @@ def _check_integer(name: str, value, least: int | None = None) -> int:
 def _check_interval(name: str, pair) -> tuple[float, float]:
     """``pair`` as floats (a, b); raise ValueError unless a < b with b - a finite."""
     try:
+        if isinstance(pair, (str, bytes, bytearray)):
+            raise TypeError  # a string iterates into its characters
         a, b = (float(v) for v in pair)
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be a pair (a, b) of numbers, got {pair!r}") from None

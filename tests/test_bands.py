@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,6 +73,9 @@ def test_halfwidth_validation():
             certainty_halfwidth(0.6, 0.3, 100, density)
     with pytest.raises(ValueError, match="n must be >= 1"):
         certainty_halfwidth(0.6, 0.3, 0, 0.4)
+    # an integer beyond the float range was a bare OverflowError
+    with pytest.raises(ValueError, match="^n must be at most 8.988e[+]307, got a 1329-bit integer$"):
+        certainty_halfwidth(0.6, 0.3, 10**400, 1.0)
     for l2 in (-0.6, 0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="l2_norm_sq must be positive"):
             certainty_halfwidth(l2, 0.3, 100, 0.4)
@@ -248,6 +252,25 @@ def test_band_kernel_passes_cover_the_support(name):
         assert set(cdf + reg + quant) == {n}
     else:
         assert max(cdf + reg + quant) < n
+
+
+@pytest.mark.parametrize("t_grid", ["jumps", np.linspace(-2.0, 2.0, 401)], ids=["jumps", "grid"])
+def test_cdf_band_holds_its_table_once(t_grid):
+    # each location's rows are copied into the table's columns once, so the
+    # traced peak stays near the table; 8n bytes cover an explicit grid's
+    # response bins
+    n = 20_000
+    sample = draw(M1, n, 1)
+    c, grid = cfg(h=reference_bandwidth(n)), np.linspace(-1.0, 1.0, 41)
+    cdf_band(sample, grid, t_grid, c)  # the sample's cached orders are built here
+    tracemalloc.start()
+    try:
+        table = cdf_band(sample, grid, t_grid, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table_bytes = sum(col.nbytes for col in table._columns())
+    assert peak <= 1.25 * table_bytes + 8 * n
 
 
 def test_cdf_band_validation():

@@ -766,7 +766,7 @@ def test_grid_of_another_shape_is_a_value_error_at_every_entry_point(entry, grid
         EMPTY_GRID_CALLS[entry](draw(M1, 100, 1), cfg(), grid)
 
 
-BAD_PAIRS = {"one-entry": (0.0,), "three-entry": (0.0, 1.0, 9.0)}
+BAD_PAIRS = {"one-entry": (0.0,), "three-entry": (0.0, 1.0, 9.0), "str": "01", "bytes": b"01"}
 BAD_GRIDS = {"scalar": 0.4, "nested": [[0.4, 0.2]], "empty": []}
 # entry point -> (argument, call with the argument set to a value, values it refuses)
 SHAPE_ARGUMENTS = {
@@ -787,7 +787,9 @@ SHAPE_ARGUMENTS = {
 ])
 def test_pair_and_grid_arguments_of_another_shape_are_value_errors(entry, value):
     # a one-entry pair was an IndexError, a three-entry one dropped its last
-    # entry, and a scalar h_sequence was a TypeError
+    # entry, a two-character str or bytes ran as the pair of its characters
+    # ("01" as (0.0, 1.0), b"01" as (48.0, 49.0)), and a scalar h_sequence
+    # was a TypeError
     name, call, _ = SHAPE_ARGUMENTS[entry]
     with pytest.raises(ValueError, match=f"^{name} must (be a pair|not be empty|be one-dim)"):
         call(value)
