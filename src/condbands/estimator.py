@@ -71,11 +71,24 @@ def _check_integer(name: str, value, least: int | None = None) -> int:
     return int(value)
 
 
+_TEXT = (str, bytes, bytearray)
+
+
+def _holds_text(values) -> bool:
+    """Whether ``values`` is, or holds, a str, bytes or bytearray: float() and numpy parse those."""
+    if isinstance(values, np.ndarray):
+        kind = values.dtype.kind
+        return kind in "SU" or (kind == "O" and any(isinstance(v, _TEXT) for v in values.flat))
+    return isinstance(values, _TEXT) or (
+        isinstance(values, (list, tuple)) and any(_holds_text(v) for v in values)
+    )
+
+
 def _check_interval(name: str, pair) -> tuple[float, float]:
     """``pair`` as floats (a, b); raise ValueError unless a < b with b - a finite."""
     try:
-        if isinstance(pair, (str, bytes, bytearray)):
-            raise TypeError  # a string iterates into its characters
+        if _holds_text(pair):
+            raise TypeError
         a, b = (float(v) for v in pair)
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be a pair (a, b) of numbers, got {pair!r}") from None
@@ -88,6 +101,8 @@ def _check_interval(name: str, pair) -> tuple[float, float]:
 
 def _check_grid(name: str, values) -> np.ndarray:
     """``values`` as a float array; raise ValueError unless it is non-empty and one-dimensional."""
+    if _holds_text(values):
+        raise ValueError(f"{name} must hold numbers, not text")
     grid = np.asarray(values, dtype=float)
     if grid.size == 0:
         raise ValueError(f"{name} must not be empty")

@@ -9,19 +9,19 @@ Two reference curves are available when measuring deviations:
   sample, that is, the order-p fit's weights on fixed quadrature nodes z
   applied to the true F(t | z).
 
-Limit comparisons use the centering reference.  The centering does not
-depend on the sample, so an experiment builds each location's centering
-once, the first time a replication keeps that location, and evaluates it
-at every later replication's jump points.  At each location the
-references (the truth and the centerings) are stacked as rows, and
-every sup deviation of the location's curves from them is taken in one
-vectorized pass that builds each curve's left limits once; max and abs
-are exact, so each deviation has the bits of its own
-:func:`step_sup_deviation`.  Replication r of an
-experiment seeded with s draws from the child stream (s, spawn_key=r),
-and the replications run in order on the calling thread.  The
-experiments' ``workers`` argument stays only for existing callers: it must
-be an integer >= 1 and changes neither the report nor the speed.
+Limit comparisons use the centering reference.  Each replicated
+experiment builds one reference function, ``rows(x, ts)``: the truth
+(where asked for) stacked over every requested order's centering.  The
+centering does not depend on the sample, so each location's centering is
+built once, for all requested orders (em-constant always asks for both),
+the first time a replication keeps the location.  Every sup deviation of
+a location's curves from its rows is taken in one pass whose max and abs
+are exact, so each has the bits of its own :func:`step_sup_deviation`.
+Replication r of an experiment seeded with s draws from the child stream
+(s, spawn_key=r), and the replications run in order on the calling
+thread.  The experiments' ``workers`` argument stays only for existing
+callers: it must be an integer >= 1 and changes neither the report nor
+the speed.
 """
 
 from __future__ import annotations
@@ -49,12 +49,10 @@ from .simulation import (
 
 __all__ = [
     "ExperimentReport",
-    "default_x_grid",
     "smoothed_moment",
     "centering_oracle",
     "centering_curve",
     "step_sup_deviation",
-    "band_normalized_sup",
     "sup_experiment",
     "coverage_experiment",
     "bochner_check",
@@ -65,13 +63,9 @@ DEFAULT_INTERVAL = (-1.0, 1.0)
 _QUAD_TOL = 1e-8
 
 
-def default_x_grid(interval: tuple[float, float] = DEFAULT_INTERVAL, count: int = 41) -> np.ndarray:
-    """Evaluation grid used by the experiments: equally spaced on the interval."""
-    return np.linspace(interval[0], interval[1], count)
-
-
 def _as_grid(x_grid, interval: tuple[float, float] = DEFAULT_INTERVAL) -> np.ndarray:
-    return default_x_grid(interval) if x_grid is None else np.asarray(x_grid, dtype=float)
+    """The checked ``x_grid``, or 41 equally spaced points on the interval without one."""
+    return np.linspace(*interval, 41) if x_grid is None else _check_grid("x_grid", x_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -230,58 +224,41 @@ def _step_sup_deviations(values, refs):
     return dev.max(axis=(0, 2))
 
 
-def band_normalized_sup(deviations, halfwidths) -> float:
-    """Largest deviation-to-halfwidth ratio across locations."""
-    dev = np.asarray(deviations, dtype=float)
-    half = np.asarray(halfwidths, dtype=float)
-    if dev.size == 0:
-        raise InsufficientLocalData("no locations with a usable local fit")
-    return float((dev / half).max())
+def _reference_rows(model, cfg, truth, orders):
+    """The reference function ``rows(x, ts)`` of a replicated experiment.
 
-
-def _location_deviations(sample, model, cfg, x_grid, references, centerings):
-    """Per-location sup deviations from each reference, and half-widths.
-
-    Each location is fitted once and its curve compared with every entry of
-    ``references``: None for the truth, p for the order-p centering.  Row i
-    of the returned deviations belongs to ``references[i]``.  Degenerate
-    locations are skipped and counted.  ``centerings`` is the memo of
-    :func:`_deviations`.
+    At response points ``ts`` it stacks the true F(t | x) when ``truth``
+    is set (the one-row true-cdf matrix at x, which is the value
+    :func:`true_cdf` gives), then one row per entry of ``orders``, the
+    order-p centering.  Every order's row comes from one evaluation of the
+    location's centering, which is built the first time x is asked for and
+    kept for every later replication.
     """
-    def deviations(x, fit, half):
+    centerings = {}
+
+    def rows(x, ts):
+        stacked = [true_cdf_grid(model, [x], ts)] if truth else []
+        if orders:
+            if x not in centerings:
+                centerings[x] = _centering(model, x, cfg.kernel, cfg.bandwidth, orders)
+            stacked.append(centerings[x](ts))
+        return np.concatenate(stacked)
+
+    return rows
+
+
+def _normalized_sups(sample, grid, cfg, rows):
+    """Per reference row, the largest sup deviation over L(x) across the grid.
+
+    Each location is fitted once and its curve compared with every row of
+    ``rows(x, ts)``; returns the maxima and the count of skipped locations.
+    """
+    def ratios(x, fit, half):
         curve = fit.curve(sample, monotonize=False)
-        return _deviations(model, cfg, x, [curve], references, centerings), half
+        return _step_sup_deviations(curve.values[None], rows(x, curve.jump_ts)) / half
 
-    kept, skipped = fit_grid(sample, x_grid, cfg, deviations)
-    devs, halves = zip(*kept)
-    return np.array(devs).T, np.array(halves), len(skipped)
-
-
-def _deviations(model, cfg, x, curves, references, centerings):
-    """Sup over t of |curve - reference| at ``x`` for each reference.
-
-    ``curves`` holds one curve per entry of ``references``, or one curve
-    for all of them.  None is the true F(t | x): the one-row true-cdf
-    matrix at x, which is the value :func:`true_cdf` gives.  p is the
-    order-p centering.  The curves come from one kernel window, so they
-    share their jump points, one evaluation of the location's centering
-    serves every order, and one pass over the stacked curves and
-    references gives every deviation.  ``centerings`` maps (x, orders) to
-    that centering; an experiment keeps one such memo over all its
-    replications, so it builds each location's centering once, at the
-    first replication that keeps the location.
-    """
-    ts = curves[0].jump_ts
-    rows = {None: true_cdf_grid(model, [x], ts)[0]} if None in references else {}
-    orders = tuple(r for r in references if r is not None)
-    if orders:
-        key = (x, orders)
-        if key not in centerings:
-            centerings[key] = _centering(model, x, cfg.kernel, cfg.bandwidth, orders)
-        rows.update(zip(orders, centerings[key](ts)))
-    refs = np.array([rows[r] for r in references])
-    values = np.array([c.values for c in curves])
-    return _step_sup_deviations(values, refs).tolist()
+    kept, skipped = fit_grid(sample, grid, cfg, ratios)
+    return (*np.max(kept, axis=0).tolist(), len(skipped))
 
 
 def _sup_scale(n, h):
@@ -383,17 +360,11 @@ def sup_experiment(
 ) -> ExperimentReport:
     """Replicated sup-deviation statistics against both references."""
     _check_experiment_args(n, reps, workers)
-    references = (None, _centering_order(cfg.order))
+    rows = _reference_rows(model, cfg, True, (_centering_order(cfg.order),))
     grid = _as_grid(x_grid)
-    centerings = {}
-
-    def stat(sample):
-        (d_tot, d_sto), halves, skipped = _location_deviations(
-            sample, model, cfg, grid, references, centerings
-        )
-        return band_normalized_sup(d_tot, halves), band_normalized_sup(d_sto, halves), skipped
-
-    total, stoch, skipped = _replicate(model, n, reps, seed, stat)
+    total, stoch, skipped = _replicate(
+        model, n, reps, seed, lambda sample: _normalized_sups(sample, grid, cfg, rows)
+    )
     med = float(np.median(stoch))
     return _replicated_report(
         "sup", model, n, reps, seed, cfg, grid, skipped,
@@ -430,12 +401,10 @@ def coverage_experiment(
     _check_experiment_args(n, reps, workers)
     _check_open_unit("epsilon", epsilon)
     grid = _as_grid(x_grid)
-
-    def stat(sample):
-        (devs,), halves, skipped = _location_deviations(sample, model, cfg, grid, (None,), {})
-        return band_normalized_sup(devs, halves), skipped
-
-    lams, skipped = _replicate(model, n, reps, seed, stat)
+    rows = _reference_rows(model, cfg, True, ())
+    lams, skipped = _replicate(
+        model, n, reps, seed, lambda sample: _normalized_sups(sample, grid, cfg, rows)
+    )
     upper_hits = lams <= 1.0 + epsilon
     lower_hits = lams <= 1.0 - epsilon
     return _replicated_report(
@@ -544,7 +513,7 @@ def em_constant_experiment(
     grid = _as_grid(x_grid, (a, b))
     inf_fx = float(marginal_density(model, np.linspace(a, b, 2049)).min())
     theta = math.sqrt(cfg.kernel.l2_norm_sq) / math.sqrt(2.0 * inf_fx)
-    centerings = {}
+    rows = _reference_rows(model, cfg, False, (0, 1))
 
     def stat(sample):
         def deviations(x, fit, half):
@@ -554,7 +523,9 @@ def em_constant_experiment(
             curves = [fit.curve(sample, monotonize=False)]
             with suppress(InsufficientLocalData):
                 curves.append(fit.at_order(1).curve(sample, monotonize=False))
-            return _deviations(model, cfg, x, curves, (0, 1)[: len(curves)], centerings)
+            values = np.array([c.values for c in curves])
+            refs = rows(x, curves[0].jump_ts)[: len(curves)]
+            return _step_sup_deviations(values, refs).tolist()
 
         kept, skipped = fit_grid(sample, grid, replace(cfg, order=0), deviations)
         devs1 = [d[1] for d in kept if len(d) == 2]

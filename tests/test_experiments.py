@@ -24,7 +24,6 @@ from condbands import (
     centering_curve,
     centering_oracle,
     coverage_experiment,
-    default_x_grid,
     draw,
     em_constant_experiment,
     get_kernel,
@@ -40,9 +39,10 @@ from condbands import (
 )
 from condbands.bands import fit_grid
 from condbands.experiments import (
-    _location_deviations,
+    _normalized_sups,
+    _reference_rows,
+    _step_sup_deviations,
     _sup_scale,
-    band_normalized_sup,
     step_sup_deviation,
 )
 
@@ -61,16 +61,22 @@ def _sup_statistic(sample, model, c, grid, reference):
     """Sup over the grid and all t of |estimate - reference| / L(x), the
     statistic of sup_experiment; ``reference`` is None for the truth and p
     for the order-p centering."""
-    (devs,), halves, _ = _location_deviations(sample, model, c, grid, (reference,), {})
-    return band_normalized_sup(devs, halves)
+    orders = () if reference is None else (reference,)
+    rows = _reference_rows(model, c, reference is None, orders)
+    return _normalized_sups(sample, grid, c, rows)[0]
 
 
 def _em_statistic(sample, model, c, grid, order):
     """sqrt(n h / log(1/h)) times the sup deviation of the order-``order``
     fit from its centering, the statistic of em_constant_experiment."""
-    c_order = replace(c, order=order)
-    (devs,), _, _ = _location_deviations(sample, model, c_order, grid, (order,), {})
-    return _sup_scale(sample.n, c.bandwidth) * float(devs.max())
+    rows = _reference_rows(model, c, False, (order,))
+
+    def deviation(x, fit, half):
+        curve = fit.curve(sample, monotonize=False)
+        return _step_sup_deviations(curve.values[None], rows(x, curve.jump_ts))[0]
+
+    devs, _ = fit_grid(sample, grid, replace(c, order=order), deviation)
+    return _sup_scale(sample.n, c.bandwidth) * float(max(devs))
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +240,8 @@ def test_step_sup_deviations_are_the_naive_sups_bit_for_bit():
     for size in (1, 2, 7, 400):
         values = rng.uniform(-0.2, 1.2, size=(3, size))
         refs = rng.random((3, size))
-        stacked = condbands.experiments._step_sup_deviations(values, refs)
-        shared = condbands.experiments._step_sup_deviations(values[:1], refs)
+        stacked = _step_sup_deviations(values, refs)
+        shared = _step_sup_deviations(values[:1], refs)
         for i in range(3):
             assert stacked[i] == _naive_step_sup(values[i], refs[i])
             assert shared[i] == _naive_step_sup(values[0], refs[i])
@@ -256,14 +262,28 @@ def test_step_sup_deviation_matches_brute_force():
     assert exact - brute <= 1e-3
 
 
-def test_band_normalized_sup_scaling():
-    devs = np.array([0.1, 0.25, 0.2])
-    halves = np.array([0.05, 0.1, 0.2])
-    base = band_normalized_sup(devs, halves)
-    assert base == pytest.approx(2.5)
-    assert band_normalized_sup(devs, halves / 2.0) == pytest.approx(2.0 * base)
-    with pytest.raises(InsufficientLocalData, match="no locations"):
-        band_normalized_sup([], [])
+def test_normalized_sups_divide_each_location_by_its_halfwidth():
+    # per reference row, the largest deviation-to-halfwidth ratio over the
+    # kept locations, as the public functions give it location by location;
+    # -6 lies outside every window and is skipped, and a grid with no kept
+    # location is refused
+    sample = draw(M1, 300, 11)
+    c = cfg(h=reference_bandwidth(300))
+    grid = np.array([-6.0, -0.5, 0.0, 0.5])
+    truth = _reference_rows(M1, c, True, ())
+
+    def rows(x, ts):
+        return np.concatenate([truth(x, ts), np.zeros((1, ts.size))])
+
+    ratios = {0: [], 1: []}
+    for x in grid[1:]:
+        curve = cdf_curve(sample, x, c, monotonize=False)
+        half = band_halfwidth(sample, x, c)
+        ratios[0].append(step_sup_deviation(curve.values, true_cdf(M1, x, curve.jump_ts)) / half)
+        ratios[1].append(step_sup_deviation(curve.values, np.zeros(curve.values.size)) / half)
+    assert _normalized_sups(sample, grid, c, rows) == (max(ratios[0]), max(ratios[1]), 1)
+    with pytest.raises(InsufficientLocalData, match="every grid location"):
+        _normalized_sups(sample, [-6.0, 6.0], c, rows)
 
 
 def test_sup_statistic_permutation_invariant():
@@ -415,14 +435,17 @@ def test_em_constant_with_order0_only_locations_equals_a_recomputation():
 def test_normalized_sup_statistic_positive():
     sample = draw(M1, 500, 3)
     c = EstimatorConfig(kernel=EPA, bandwidth=reference_bandwidth(500), order=0)
-    val = _em_statistic(sample, M1, c, default_x_grid(), 0)
+    val = _em_statistic(sample, M1, c, np.linspace(-1, 1, 41), 0)
     assert val > 0.0
 
 
-def test_default_x_grid():
-    grid = default_x_grid()
-    assert grid.size == 41
-    assert grid[0] == -1.0 and grid[-1] == 1.0
+def test_experiments_default_to_41_points_on_the_interval():
+    c = cfg(h=reference_bandwidth(150))
+    assert sup_experiment(M1, 150, 1, c).params["x_grid"] == [-1.0, 1.0, 41]
+    em = em_constant_experiment(M1, 150, 1, c, interval=(-0.5, 0.5))
+    assert em.params["x_grid"] == [-0.5, 0.5, 41]
+    grid = condbands.experiments._as_grid(None)
+    assert grid.size == 41 and grid[0] == -1.0 and grid[-1] == 1.0
     assert 0.0 in grid
 
 
@@ -568,6 +591,31 @@ def test_a_location_skipped_in_every_replication_builds_no_centering(monkeypatch
     built.clear()
     coverage_experiment(M1, 200, 3, 0.5, c, grid, seed=1)
     assert built == []
+
+
+def test_em_constant_builds_each_kept_locations_centering_once(monkeypatch):
+    # in the tail some locations are fitted at order 0 only in some
+    # replications; each kept location still builds one centering, for
+    # both orders, the first time a replication keeps it
+    built = []
+    real = condbands.experiments._centering
+
+    def recording(model, x, kernel, h, orders):
+        built.append((float(x), orders))
+        return real(model, x, kernel, h, orders)
+
+    monkeypatch.setattr(condbands.experiments, "_centering", recording)
+    n, reps, seed = 200, 4, 1
+    c = cfg(EPA, h=reference_bandwidth(n))
+    grid = np.linspace(1.6, 3.6, 11)
+    kept = set()
+    for r in range(reps):
+        sample = draw(M1, n, np.random.SeedSequence(seed, spawn_key=(r,)))
+        kept.update(fit_grid(sample, grid, cfg(EPA, h=c.bandwidth, order=0),
+                             lambda x, fit, half: float(x))[0])
+    em_constant_experiment(M1, n, reps, c, x_grid=grid, seed=seed)
+    assert len(kept) == 9
+    assert sorted(built) == sorted((x, (0, 1)) for x in kept)
 
 
 def test_one_true_cdf_matrix_per_location(monkeypatch):
@@ -759,15 +807,28 @@ def test_empty_grid_is_a_value_error_at_every_entry_point(entry):
         EMPTY_GRID_CALLS[entry](draw(M1, 100, 1), cfg(), [])
 
 
-@pytest.mark.parametrize("grid", [0.0, [[0.0, 0.5]]], ids=["scalar", "2d"])
+@pytest.mark.parametrize("grid, message", [
+    (0.0, "be one-dimensional"),
+    ([[0.0, 0.5]], "be one-dimensional"),
+    (["0", "0.5"], "hold numbers, not text"),
+    (np.array([b"0", b"0.5"]), "hold numbers, not text"),
+], ids=["scalar", "2d", "str", "bytes"])
 @pytest.mark.parametrize("entry", EMPTY_GRID_CALLS)
-def test_grid_of_another_shape_is_a_value_error_at_every_entry_point(entry, grid):
-    with pytest.raises(ValueError, match="x_grid must be one-dimensional"):
+def test_grid_of_another_shape_is_a_value_error_at_every_entry_point(entry, grid, message):
+    # numeric text ran as the numbers it spells
+    with pytest.raises(ValueError, match=f"x_grid must {message}"):
         EMPTY_GRID_CALLS[entry](draw(M1, 100, 1), cfg(), grid)
 
 
-BAD_PAIRS = {"one-entry": (0.0,), "three-entry": (0.0, 1.0, 9.0), "str": "01", "bytes": b"01"}
-BAD_GRIDS = {"scalar": 0.4, "nested": [[0.4, 0.2]], "empty": []}
+BAD_PAIRS = {
+    "one-entry": (0.0,), "three-entry": (0.0, 1.0, 9.0), "str": "01", "bytes": b"01",
+    "str-entries": ["0", "1"], "bytes-entries": (b"0", bytearray(b"1")),
+    "str-array": np.array(["0", "1"]), "object-str-array": np.array(["0", 1.0], dtype=object),
+}
+BAD_GRIDS = {
+    "scalar": 0.4, "nested": [[0.4, 0.2]], "empty": [], "str-entries": ["0.4", "0.2"],
+    "bytes-array": np.array([b"0.4", b"0.2"]), "object-str-array": np.array([0.4, "0.2"], dtype=object),
+}
 # entry point -> (argument, call with the argument set to a value, values it refuses)
 SHAPE_ARGUMENTS = {
     "regression_band": ("y_range", lambda v: regression_band(draw(M1, 100, 1), [0.0], cfg(), v),
@@ -789,10 +850,28 @@ def test_pair_and_grid_arguments_of_another_shape_are_value_errors(entry, value)
     # a one-entry pair was an IndexError, a three-entry one dropped its last
     # entry, a two-character str or bytes ran as the pair of its characters
     # ("01" as (0.0, 1.0), b"01" as (48.0, 49.0)), and a scalar h_sequence
-    # was a TypeError
+    # was a TypeError; numeric text entries ran as the numbers they spell
     name, call, _ = SHAPE_ARGUMENTS[entry]
-    with pytest.raises(ValueError, match=f"^{name} must (be a pair|not be empty|be one-dim)"):
+    with pytest.raises(ValueError, match=f"^{name} must (be a pair|not be empty|be one-dim|hold numbers)"):
         call(value)
+
+
+def test_numbers_of_any_numeric_type_still_pass():
+    # the text guard refuses nothing numeric: numpy scalars and numeric
+    # object arrays give the bits of plain float grids and pairs
+    sample, c = draw(M1, 100, 1), cfg()
+    base = cdf_band(sample, [0.0, 0.5], [0.25, 0.5], c)
+    for x_grid, t_grid in (
+        (np.array([0, 0.5], dtype=object), [np.float32(0.25), 0.5]),
+        ([np.int64(0), np.float64(0.5)], np.array([0.25, 0.5], dtype=object)),
+    ):
+        other = cdf_band(sample, x_grid, t_grid, c)
+        assert np.array_equal(other.estimate, base.estimate)
+    plain = regression_band(sample, [0.0], c, (0.0, 1.0))
+    assert regression_band(sample, [0.0], c, (np.int64(0), np.float32(1))).estimate == plain.estimate
+    grid = np.linspace(-0.5, 0.5, 3)
+    report = sup_experiment(M1, 100, 1, c, grid)
+    assert sup_experiment(M1, 100, 1, c, grid.astype(object)).to_json() == report.to_json()
 
 
 def test_report_json_is_sorted_and_plain():

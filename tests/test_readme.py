@@ -1,9 +1,12 @@
-"""README's examples: the quick tour runs and every CLI example parses."""
+"""README's examples: the quick tour runs, every CLI example parses, and the
+names README lists as exported or removed are so in the package."""
 
+import importlib
 import re
 import shlex
 from pathlib import Path
 
+import condbands
 from condbands import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -32,3 +35,38 @@ def test_readme_examples_run(tmp_path, monkeypatch):
     assert subcommands == {"simulate", "bands", "regression", "quantile", "experiment", "plotdata"}
     for words in commands:
         cli.parse_args(words)
+
+
+def _section(text, heading):
+    """The body of the ``## heading`` section of ``text``."""
+    return re.search(rf"^## {heading}\n(.*?)(?=^## |\Z)", text, re.MULTILINE | re.DOTALL).group(1)
+
+
+def _resolves(dotted):
+    """Whether ``module.name`` or ``Class.attr`` of the package exists."""
+    owner, attr = dotted.split(".")
+    try:
+        holder = importlib.import_module(f"condbands.{owner}")
+    except ImportError:
+        holder = getattr(condbands, owner)
+    if isinstance(holder, type):
+        # a class resolves type's own attributes, such as __call__, too
+        fields = getattr(holder, "__dataclass_fields__", {})
+        return attr in fields or any(attr in vars(c) for c in holder.__mro__)
+    return hasattr(holder, attr)
+
+
+def test_readme_names_match_the_package():
+    text = README.read_text(encoding="utf-8")
+    (exported,) = re.findall(r"So ((?:`\w+`[,\s]*(?:and\s+)?)+)import\s+from\s+`condbands`", text)
+    names = re.findall(r"`(\w+)`", exported)
+    assert "step_sup_deviation" in names
+    assert [n for n in names if not hasattr(condbands, n)] == []
+
+    # the removed names: each bullet's part before its first colon
+    bullets = re.findall(r"^- (.*?):\s", _section(text, r"Removed in 0\.1\.x"), re.MULTILINE | re.DOTALL)
+    removed = [d for b in bullets for d in re.findall(r"`(\w+\.\w+)\W", b)]
+    assert {"experiments.band_normalized_sup", "experiments.default_x_grid", "Kernel.__call__"} <= set(removed)
+    assert [d for d in removed if _resolves(d)] == []
+    assert _resolves("experiments.step_sup_deviation") and _resolves("Kernel.eval")
+    assert _resolves("LocalWeights.window")
