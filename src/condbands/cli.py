@@ -141,7 +141,8 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _grid_spec(text: str) -> tuple:
+def _grid_spec(text: str) -> np.ndarray:
+    """argparse type for START:STOP:COUNT: its np.linspace grid; one point may sit anywhere."""
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected start:stop:count, got {text!r}")
@@ -151,9 +152,16 @@ def _grid_spec(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"bad grid spec {text!r}") from None
     if count < 1:
         raise argparse.ArgumentTypeError("grid count must be >= 1")
-    if count > 1 and not math.isfinite(stop - start):
-        raise argparse.ArgumentTypeError(f"grid {text!r} overflows: stop - start is not finite")
-    return (start, stop, count)
+    if not math.isfinite(stop - start):
+        if count > 1:
+            raise argparse.ArgumentTypeError(f"grid {text!r} overflows: stop - start is not finite")
+        stop = start  # np.linspace spaces even one point from STOP - START
+    # the last point may round past the float range before linspace sets it to STOP
+    try:
+        with np.errstate(over="ignore"):
+            return np.linspace(start, stop, count)
+    except ValueError as exc:  # a count beyond numpy's array size limit
+        raise argparse.ArgumentTypeError(f"grid {text!r}: {exc}") from None
 
 
 def _t_grid_spec(text: str):
@@ -203,7 +211,7 @@ def _add_fit_args(sub, orders=(0, 1, 2)):
     )
     if orders:
         sub.add_argument("--order", type=int, default=1, choices=orders)
-    sub.add_argument("--x-grid", type=_grid_spec, default=(-1.0, 1.0, 41), metavar="START:STOP:COUNT")
+    sub.add_argument("--x-grid", type=_grid_spec, default="-1:1:41", metavar="START:STOP:COUNT")
 
 
 def _add_experiment(kinds, kind: str, runner):
@@ -224,6 +232,8 @@ def _add_replication_args(sub, orders=(0, 1, 2)):
     sub.add_argument("--reps", type=int, default=100)
     sub.add_argument("--seed", type=int, default=0)
     _add_fit_args(sub, orders)
+    # without --x-grid the library takes its own default grid
+    sub.set_defaults(x_grid=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -280,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     # spreads its grid over --interval
     k = _add_experiment(kinds, "em-constant", _each_n(exp_mod.em_constant_experiment, "interval"))
     _add_replication_args(k, orders=())
-    k.set_defaults(x_grid=None)
     k.add_argument("--interval", type=_range_spec, default=(-1.0, 1.0), metavar="LO:HI")
 
     p = subs.add_parser("plotdata", help="long-format curve/band data for plotting")
@@ -346,18 +355,6 @@ def _estimator_config(config: argparse.Namespace, n: int) -> EstimatorConfig:
     )
 
 
-def _linspace(spec):
-    """The grid of a START:STOP:COUNT spec; None stays None."""
-    return None if spec is None else np.linspace(*spec)
-
-
-def _t_grid(config: argparse.Namespace, sample: Sample):
-    """The --t-grid of bands and plotdata; plotdata's default spans the responses."""
-    if config.t_grid is None:
-        return np.linspace(float(sample.ys.min()), float(sample.ys.max()), 101)
-    return config.t_grid if config.t_grid == "jumps" else _linspace(config.t_grid)
-
-
 def _note_skipped(skipped: list) -> None:
     """Name on stderr the skipped grid locations, if any."""
     if skipped:
@@ -388,12 +385,12 @@ def _table_command(build):
 
 
 def _bands(config, sample, model, cfg):
-    return bands_mod.cdf_band(sample, _linspace(config.x_grid), _t_grid(config, sample), cfg,
+    return bands_mod.cdf_band(sample, config.x_grid, config.t_grid, cfg,
                               epsilon=config.epsilon, clip=config.clip)
 
 
 def _regression(config, sample, model, cfg):
-    return bands_mod.regression_band(sample, _linspace(config.x_grid), cfg, config.y_range)
+    return bands_mod.regression_band(sample, config.x_grid, cfg, config.y_range)
 
 
 def _quantile(config, sample, model, cfg):
@@ -405,7 +402,7 @@ def _quantile(config, sample, model, cfg):
         def provider(x, y):
             return bands_mod.density_plugin(sample, x, y, cfg)
 
-    return bands_mod.quantile_band(sample, _linspace(config.x_grid), config.alpha, cfg, provider)
+    return bands_mod.quantile_band(sample, config.x_grid, config.alpha, cfg, provider)
 
 
 def _each_n(experiment, *own: str):
@@ -420,7 +417,7 @@ def _each_n(experiment, *own: str):
         return [
             experiment(
                 model, n, config.reps, cfg=_estimator_config(config, n),
-                x_grid=_linspace(config.x_grid), seed=config.seed, **kwargs,
+                x_grid=config.x_grid, seed=config.seed, **kwargs,
             )
             for n in config.n_list
         ]
@@ -505,9 +502,9 @@ def _write_svg(path, panels):
 def _cmd_plotdata(config: argparse.Namespace) -> int:
     sample, model = _load_sample(config)
     cfg = _estimator_config(config, sample.n)
+    t_grid = np.linspace(*sample.y_range, 101) if config.t_grid is None else config.t_grid
     blocks, skipped = bands_mod.fit_grid(
-        sample, _linspace(config.x_grid), cfg,
-        bands_mod._cdf_reduction(sample, _t_grid(config, sample), config.epsilon),
+        sample, config.x_grid, cfg, bands_mod._cdf_reduction(sample, t_grid, config.epsilon)
     )
     _note_skipped(skipped)
     # (x, ts, {series name: values}) per location, in CSV row order
@@ -564,12 +561,12 @@ def run(config: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    config = parse_args(argv)
-    # The library rejects out-of-range argument values with ValueError, and
-    # a path that cannot be read or written fails with OSError.
+    # The library rejects out-of-range argument values with ValueError, a path
+    # that cannot be read or written fails with OSError, and a grid (made while
+    # parsing) or a sample too large to allocate fails with MemoryError.
     try:
-        return run(config)
-    except (CondBandsError, ValueError, OSError) as exc:
+        return run(parse_args(argv))
+    except (CondBandsError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

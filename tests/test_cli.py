@@ -348,14 +348,21 @@ def test_bad_bandwidth_text(capsys):
     ["experiment", "sup", "--model", "m1", "--reps", "0"],
     ["experiment", "coverage", "--model", "m1", "--epsilon", "0"],
     ["bands", "--model", "m1", "--n", "0"],
+    # 10**17 float64 values need more bytes than any 64-bit address space
+    # holds, so each allocation fails at once, whatever the overcommit setting
+    ["bands", "--model", "m1", "--x-grid=-1:1:100000000000000000"],
+    ["simulate", "--model", "m1", "--n", "100000000000000000"],
+    ["experiment", "sup", "--model", "m1", "--n-list", "100000000000000000", "--reps", "1"],
 ], ids=["bands-epsilon", "plotdata-epsilon", "quantile-alpha", "regression-y-range",
-        "sup-reps", "coverage-epsilon", "bands-n"])
+        "sup-reps", "coverage-epsilon", "bands-n", "bands-x-grid-too-large",
+        "simulate-n-too-large", "sup-n-list-too-large"])
 def test_out_of_range_values_exit_one_without_traceback(tmp_path, capsys, argv):
     out = tmp_path / "out"
     assert main(argv + ["--output", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+    assert err.count("\n") == 1
     assert not out.exists()
 
 
@@ -436,6 +443,19 @@ def test_experiment_em_constant_grid_follows_the_interval(tmp_path):
     # an explicit grid still wins
     assert main(args + ["--x-grid=-0.2:0.2:5", "--output", str(out)]) == 0
     assert json.loads(out.read_text())["params"]["x_grid"] == [-0.2, 0.2, 5]
+
+
+@pytest.mark.parametrize("kind,default,explicit", [
+    ("sup", [], ["--x-grid=-1:1:41"]),
+    ("coverage", [], ["--x-grid=-1:1:41"]),
+    ("em-constant", ["--interval=-0.5:0.5"], ["--interval=-0.5:0.5", "--x-grid=-0.5:0.5:41"]),
+])
+def test_experiment_default_grid_is_the_librarys(tmp_path, kind, default, explicit):
+    args = ["experiment", kind, "--model", "m1", "--n-list", "150", "--reps", "2"]
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(args + default + ["--output", str(a)]) == 0
+    assert main(args + explicit + ["--output", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_experiment_multiple_n_writes_array(tmp_path):
@@ -590,14 +610,18 @@ def test_parse_args_round_trip():
     assert config.epsilon == 0.3
     assert config.clip is False
     assert config.t_grid == "jumps"
+    # --x-grid's default is parsed anew into each namespace
+    assert config.x_grid.tobytes() == np.linspace(-1.0, 1.0, 41).tobytes()
+    assert parse_args(["bands", "--model", "m1", "--output", "o"]).x_grid is not config.x_grid
     # plotdata's default t grid is None: a 101-point span of the responses
     plot = parse_args(["plotdata", "--model", "m1", "--output", "out.csv"])
     assert plot.t_grid is None
     assert plot.svg is None and plot.input is None
-    # the experiment subcommand shares the fit options and their defaults
+    # the experiment subcommand shares the fit options and their defaults;
+    # without --x-grid the library's own grid is used
     exp = parse_args(["experiment", "sup", "--model", "m1", "--output", "out.json"])
     assert (exp.kernel, exp.bandwidth, exp.order, exp.x_grid) == (
-        "epanechnikov", "auto", 1, (-1.0, 1.0, 41)
+        "epanechnikov", "auto", 1, None
     )
     assert (exp.n_list, exp.reps) == ((500,), 100)
     cov = parse_args(["experiment", "coverage", "--model", "m1", "--output", "out.json"])
@@ -699,6 +723,8 @@ def test_non_finite_numbers_are_usage_errors(tmp_path, capsys, argv):
      "argument --x-grid: grid '1e308:-1e308:3' overflows: stop - start is not finite"),
     (["plotdata", "--model", "m1", "--t-grid=-1e308:1e308:2"],
      "argument --t-grid: grid '-1e308:1e308:2' overflows"),
+    (["bands", "--model", "m1", "--x-grid=-1:1:1000000000000000000000"],
+     "argument --x-grid: grid '-1:1:1000000000000000000000': Maximum allowed size exceeded"),
     (["regression", "--model", "m1", "--y-range", "0:1:2"], "expected lo:hi, got '0:1:2'"),
     (["regression", "--model", "m1", "--y-range=-1e308:1e308"],
      "argument --y-range: range '-1e308:1e308' overflows: hi - lo is not finite"),
@@ -707,7 +733,8 @@ def test_non_finite_numbers_are_usage_errors(tmp_path, capsys, argv):
     (["experiment", "sup", "--model", "m1", "--n-list", "1,a"], "bad integer list '1,a'"),
 ], ids=["sup-order-2", "y-range-not-a-number", "interval-not-a-number", "x-grid-two-parts",
         "x-grid-count-not-a-number", "x-grid-count-0", "x-grid-overflows", "t-grid-overflows",
-        "y-range-three-parts", "y-range-overflows", "interval-overflows", "n-list-not-a-number"])
+        "x-grid-too-long", "y-range-three-parts", "y-range-overflows", "interval-overflows",
+        "n-list-not-a-number"])
 def test_malformed_option_values_are_usage_errors(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
@@ -720,9 +747,27 @@ def test_malformed_option_values_are_usage_errors(tmp_path, capsys, argv, messag
     assert not out.exists()
 
 
-def test_a_one_point_grid_may_sit_anywhere_finite():
-    config = parse_args(["bands", "--model", "m1", "--x-grid=1e308:-1e308:1", "--output", "o"])
-    assert config.x_grid == (1e308, -1e308, 1)
+def test_a_one_point_grid_may_sit_anywhere_finite(tmp_path, capsys):
+    argv = ["bands", "--model", "m1", "--n", "200", "--x-grid=1e308:-1e308:1"]
+    config = parse_args(argv + ["--output", "o"])
+    assert config.x_grid.tolist() == [1e308]
+    # the point reaches the library as 1e308, never NaN, and without a warning
+    out = tmp_path / "o.csv"
+    assert main(argv + ["--output", str(out)]) == 1
+    assert capsys.readouterr().err == "error: every grid location had a degenerate local fit\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec,start,stop,count", [
+    ("0:1.7976931348623157e308:4", 0.0, 1.7976931348623157e308, 4),  # the last point overflows
+    ("-0.0:0:1", -0.0, 0.0, 1),  # linspace gives 0.0, not START
+])
+def test_a_parsed_grid_is_linspace_bit_for_bit(spec, start, stop, count):
+    config = parse_args(["plotdata", "--model", "m1", f"--x-grid={spec}", f"--t-grid={spec}",
+                         "--output", "o"])
+    with np.errstate(over="ignore"):  # before linspace sets the last point to stop
+        expected = np.linspace(start, stop, count).tobytes()
+    assert config.x_grid.tobytes() == expected and config.t_grid.tobytes() == expected
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,4 @@
-"""README's examples: the quick tour runs, every CLI example parses, and the
+"""README's examples: the quick tour and every CLI example run, and the
 names README lists as exported or removed are so in the package."""
 
 import importlib
@@ -33,8 +33,11 @@ def test_readme_examples_run(tmp_path, monkeypatch):
                 commands.append(words[1:])
     subcommands = {words[0] for words in commands}
     assert subcommands == {"simulate", "bands", "regression", "quantile", "experiment", "plotdata"}
+    # in README order, so that `simulate` writes the sample the others read
     for words in commands:
-        cli.parse_args(words)
+        assert cli.main(words) == 0, words
+        outputs = [words[i + 1] for i, w in enumerate(words) if w in ("--output", "--svg")]
+        assert outputs and all((tmp_path / o).stat().st_size > 0 for o in outputs), words
 
 
 def _section(text, heading):
