@@ -241,6 +241,7 @@ def _cdf_reduction(sample: Sample, t_grid, epsilon: float) -> Callable:
     """
     if not 0.0 <= epsilon < 1.0:
         raise ValueError(f"epsilon must lie in [0, 1), got {epsilon!r}")
+    widen = 1.0 + float(epsilon)
     use_jumps = isinstance(t_grid, str)
     if use_jumps:
         if t_grid != "jumps":
@@ -259,9 +260,9 @@ def _cdf_reduction(sample: Sample, t_grid, epsilon: float) -> Callable:
     def block(x, fit, half_l):
         if use_jumps:
             curve = fit.curve(sample, monotonize=False)
-            return x, curve.jump_ts, curve.values, (1.0 + epsilon) * half_l
+            return x, curve.jump_ts, curve.values, widen * half_l
         binned = np.bincount(bins[fit.window.index], fit.window_weights, minlength=t_grid.size + 1)
-        return x, t_grid, np.cumsum(binned[:-1])[t_rank], (1.0 + epsilon) * half_l
+        return x, t_grid, np.cumsum(binned[:-1])[t_rank], widen * half_l
 
     return block
 
@@ -286,7 +287,7 @@ def cdf_band(
     t_mode = "jumps" if isinstance(t_grid, str) else "explicit"
     return _band_table(
         sample, x_grid, cfg, "cdf", _cdf_reduction(sample, t_grid, epsilon),
-        lambda blocks: {"epsilon": epsilon, "clipped": clip, "t_grid": t_mode}, clip,
+        lambda blocks: {"epsilon": float(epsilon), "clipped": clip, "t_grid": t_mode}, clip,
     )
 
 
@@ -325,7 +326,7 @@ def quantile_band(
     skipped and recorded in the metadata; the metadata names the density
     source of the last kept location.
     """
-    _check_open_unit("alpha", alpha)
+    alpha = _check_open_unit("alpha", alpha)
 
     def row(x, fit, half_l):
         q = quantile_estimate(fit.curve(sample, monotonize=False), alpha)

@@ -170,6 +170,10 @@ def _t_grid_spec(text: str):
     return _grid_spec(text)
 
 
+def _bandwidth_spec(text: str):
+    return "auto" if text == "auto" else _finite_float(text)
+
+
 def _range_spec(text: str) -> tuple:
     parts = text.split(":")
     if len(parts) != 2:
@@ -194,8 +198,9 @@ def _list_type(convert, what: str):
 
 
 def _add_source_args(sub):
-    sub.add_argument("--input", help="CSV file with header x,y")
-    sub.add_argument("--model", choices=MODEL_KINDS, help="built-in model")
+    source = sub.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", help="CSV file with header x,y")
+    source.add_argument("--model", choices=MODEL_KINDS, help="built-in model")
     sub.add_argument("--n", type=int, default=500, help="sample size for --model")
     sub.add_argument("--seed", type=int, default=0)
 
@@ -206,22 +211,21 @@ def _add_kernel_arg(sub):
 
 def _add_fit_args(sub, orders=(0, 1, 2)):
     _add_kernel_arg(sub)
-    sub.add_argument(
-        "--bandwidth", default="auto", help='bandwidth in (0,1) or "auto" for n**(-1/5)'
-    )
+    sub.add_argument("--bandwidth", type=_bandwidth_spec, default="auto", metavar="H|auto",
+                     help='bandwidth in (0,1) or "auto" for n**(-1/5)')
     if orders:
         sub.add_argument("--order", type=int, default=1, choices=orders)
     sub.add_argument("--x-grid", type=_grid_spec, default="-1:1:41", metavar="START:STOP:COUNT")
 
 
 def _add_experiment(kinds, kind: str, runner):
-    """Parser of one experiment kind; ``runner(config)`` returns its reports.
+    """Parser of one experiment kind, which writes the reports ``runner(config)``.
 
     Abbreviations are off: ``--x`` would otherwise pass for ``--x-grid`` on
     the kinds that do not read ``--x``.
     """
     sub = kinds.add_parser(kind, allow_abbrev=False)
-    sub.set_defaults(runner=runner)
+    sub.set_defaults(run=lambda config: _write_reports(config.output, runner(config)))
     sub.add_argument("--model", choices=MODEL_KINDS, required=True)
     sub.add_argument("--output", required=True)
     return sub
@@ -248,6 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True)
+    p.set_defaults(run=_cmd_simulate)
 
     p = subs.add_parser("bands", help="distribution band table")
     _add_source_args(p)
@@ -257,6 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clip", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
     p.add_argument("--output", required=True)
+    p.set_defaults(run=_table_command(_bands))
 
     p = subs.add_parser("regression", help="regression band table")
     _add_source_args(p)
@@ -264,6 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y-range", type=_range_spec, required=True, metavar="LO:HI")
     p.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
     p.add_argument("--output", required=True)
+    p.set_defaults(run=_table_command(_regression))
 
     p = subs.add_parser("quantile", help="quantile band table")
     _add_source_args(p)
@@ -272,6 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", choices=["plugin", "oracle"], default="plugin")
     p.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
     p.add_argument("--output", required=True)
+    p.set_defaults(run=_table_command(_quantile))
 
     p = subs.add_parser("experiment", help="run a verification experiment")
     kinds = p.add_subparsers(dest="experiment", required=True)
@@ -300,6 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clip", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--svg", help="also write a minimal SVG rendering")
     p.add_argument("--output", required=True)
+    p.set_defaults(run=_cmd_plotdata)
 
     return parser
 
@@ -326,23 +335,10 @@ def _innermost(parser: argparse.ArgumentParser, config: argparse.Namespace):
 
 
 def _load_sample(config: argparse.Namespace):
-    if (config.input is None) == (config.model is None):
-        raise CondBandsError("exactly one of --input and --model is required")
     if config.input is not None:
         return ingest_csv(config.input), None
     model = sim_model(config.model)
     return draw(model, config.n, config.seed), model
-
-
-def _resolve_bandwidth(config: argparse.Namespace, n: int) -> float:
-    if config.bandwidth == "auto":
-        return reference_bandwidth(n)
-    try:
-        return float(config.bandwidth)
-    except ValueError:
-        raise CondBandsError(
-            f'bandwidth must be a number or "auto", got {config.bandwidth!r}'
-        ) from None
 
 
 def _estimator_config(config: argparse.Namespace, n: int) -> EstimatorConfig:
@@ -350,7 +346,7 @@ def _estimator_config(config: argparse.Namespace, n: int) -> EstimatorConfig:
     order = {"order": config.order} if "order" in config else {}
     return EstimatorConfig(
         kernel=get_kernel(config.kernel),
-        bandwidth=_resolve_bandwidth(config, n),
+        bandwidth=reference_bandwidth(n) if config.bandwidth == "auto" else config.bandwidth,
         **order,
     )
 
@@ -361,16 +357,15 @@ def _note_skipped(skipped: list) -> None:
         print(f"note: skipped degenerate locations {skipped}", file=sys.stderr)
 
 
-def _cmd_simulate(config: argparse.Namespace) -> int:
+def _cmd_simulate(config: argparse.Namespace) -> None:
     sample = draw(sim_model(config.model), config.n, config.seed)
     with open(config.output, "wb") as fh:
         bands_mod.write_csv(fh, ("x", "y"), (sample.xs, sample.ys))
-    return 0
 
 
 def _table_command(build):
     """Command writing the band table ``build(config, sample, model, cfg)`` as CSV or JSON."""
-    def command(config: argparse.Namespace) -> int:
+    def command(config: argparse.Namespace) -> None:
         sample, model = _load_sample(config)
         table = build(config, sample, model, _estimator_config(config, sample.n))
         _note_skipped(table.metadata["skipped_locations"])
@@ -380,7 +375,6 @@ def _table_command(build):
                 fh.write("\n")
         else:
             table.to_csv(config.output)
-        return 0
     return command
 
 
@@ -429,9 +423,8 @@ def _bochner(config):
     return [exp_mod.bochner_check(sim_model(config.model), config.x, config.h_list, kernel, t=config.t)]
 
 
-def _cmd_experiment(config: argparse.Namespace) -> int:
-    reports = config.runner(config)
-    with open(config.output, "w") as fh:
+def _write_reports(path: str, reports: list) -> None:
+    with open(path, "w") as fh:
         if len(reports) == 1:
             fh.write(reports[0].to_json())
         else:
@@ -439,7 +432,6 @@ def _cmd_experiment(config: argparse.Namespace) -> int:
             fh.write(",\n".join(r.to_json() for r in reports))
             fh.write("\n]")
         fh.write("\n")
-    return 0
 
 
 def _svg_polyline(ts, vals, box, t_lim, v_lim, color, dash=None):
@@ -499,7 +491,7 @@ def _write_svg(path, panels):
         fh.write("\n")
 
 
-def _cmd_plotdata(config: argparse.Namespace) -> int:
+def _cmd_plotdata(config: argparse.Namespace) -> None:
     sample, model = _load_sample(config)
     cfg = _estimator_config(config, sample.n)
     t_grid = np.linspace(*sample.y_range, 101) if config.t_grid is None else config.t_grid
@@ -526,28 +518,18 @@ def _cmd_plotdata(config: argparse.Namespace) -> int:
                 )
     if config.svg:
         _write_svg(config.svg, panels)
-    return 0
-
-
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "bands": _table_command(_bands),
-    "regression": _table_command(_regression),
-    "quantile": _table_command(_quantile),
-    "experiment": _cmd_experiment,
-    "plotdata": _cmd_plotdata,
-}
 
 
 def _check_outputs(config: argparse.Namespace) -> None:
-    """Fail before any work if an output cannot be opened for lack of its directory.
+    """Fail before any work if an output lacks its directory, or two outputs are one file.
 
     Nothing is created or truncated here; the command opens its outputs
     only once their contents are computed.
     """
-    for path in (config.output, getattr(config, "svg", None)):
-        if path is None:
-            continue
+    paths = [path for path in (config.output, getattr(config, "svg", None)) if path is not None]
+    if len({os.path.realpath(path) for path in paths}) < len(paths):
+        raise CondBandsError(f"--svg {paths[1]!r} and --output {paths[0]!r} name the same file")
+    for path in paths:
         folder = os.path.dirname(path) or "."
         if not os.path.isdir(folder):
             raise CondBandsError(f"output directory {folder!r} of {path!r} does not exist")
@@ -556,8 +538,10 @@ def _check_outputs(config: argparse.Namespace) -> None:
 
 
 def run(config: argparse.Namespace) -> int:
+    """Run the command ``parse_args`` set in ``config``; a failure raises, success returns 0."""
     _check_outputs(config)
-    return _COMMANDS[config.command](config)
+    config.run(config)
+    return 0
 
 
 def main(argv=None) -> int:

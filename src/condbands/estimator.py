@@ -55,10 +55,11 @@ __all__ = [
 _DENOM_TOL = 1e-12
 
 
-def _check_open_unit(name: str, value, error=ValueError) -> None:
-    """Raise ``error`` unless ``value`` lies in the open interval (0, 1)."""
+def _check_open_unit(name: str, value, error=ValueError) -> float:
+    """``value`` as a Python float; raise ``error`` unless it lies in the open interval (0, 1)."""
     if not 0.0 < value < 1.0:
         raise error(f"{name} must lie in (0, 1), got {value!r}")
+    return float(value)
 
 
 def _check_integer(name: str, value, least: int | None = None) -> int:
@@ -211,7 +212,8 @@ class EstimatorConfig:
     """Settings shared by all local fits.
 
     ``bandwidth`` must lie in the open interval (0, 1); the band theory
-    relies on log(1/h) > 0.  ``order`` is kept as a Python int.
+    relies on log(1/h) > 0.  It is kept as a Python float, ``order`` as a
+    Python int.
     """
 
     kernel: Kernel
@@ -219,7 +221,8 @@ class EstimatorConfig:
     order: int = 1
 
     def __post_init__(self):
-        _check_open_unit("bandwidth", self.bandwidth, InvalidBandwidth)
+        h = _check_open_unit("bandwidth", self.bandwidth, InvalidBandwidth)
+        object.__setattr__(self, "bandwidth", h)
         object.__setattr__(self, "order", _check_order(self.order))
 
 

@@ -316,6 +316,15 @@ def _replicate(model, n, reps, seed, stat) -> list[np.ndarray]:
     return [np.array(column) for column in zip(*results)]
 
 
+def _grid_record(grid: np.ndarray) -> list:
+    """``grid`` as [first, last, count] if np.linspace makes it bit for bit, else its points."""
+    with np.errstate(all="ignore"):  # a span beyond the float range
+        line = np.linspace(grid[0], grid[-1], grid.size)
+    if line.tobytes() == grid.tobytes():
+        return [float(grid[0]), float(grid[-1]), int(grid.size)]
+    return grid.tolist()
+
+
 def _replicated_report(
     kind, model, n, reps, seed, cfg, grid, skipped, *, params, summary, reference, flags
 ) -> ExperimentReport:
@@ -332,7 +341,7 @@ def _replicated_report(
         params={
             "kernel": cfg.kernel.name,
             "bandwidth": cfg.bandwidth,
-            "x_grid": [float(grid[0]), float(grid[-1]), int(grid.size)],
+            "x_grid": _grid_record(grid),
             **params,
         },
         summaries=[
@@ -399,7 +408,7 @@ def coverage_experiment(
     corresponds to 1 - epsilon.
     """
     _check_experiment_args(n, reps, workers)
-    _check_open_unit("epsilon", epsilon)
+    epsilon = _check_open_unit("epsilon", epsilon)
     grid = _as_grid(x_grid)
     rows = _reference_rows(model, cfg, True, ())
     lams, skipped = _replicate(

@@ -296,10 +296,19 @@ def test_regression_table(tmp_path):
     assert all(row.split(",")[1] == "" for row in lines[1:])
 
 
-def test_quantile_requires_source(capsys):
-    code = main(["quantile", "--alpha", "0.5", "--output", "/tmp/unused.csv"])
-    assert code == 1
-    assert "exactly one" in capsys.readouterr().err
+@pytest.mark.parametrize("source,message", [
+    ([], "one of the arguments --input --model is required"),
+    (["--input", "s.csv", "--model", "m1"], "argument --model: not allowed with argument --input"),
+], ids=["neither", "both"])
+def test_quantile_requires_source(tmp_path, capsys, source, message):
+    out = tmp_path / "q.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["quantile", *source, "--alpha", "0.5", "--output", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: condbands quantile")
+    assert message in err
+    assert not out.exists()
 
 
 def test_quantile_oracle_density(tmp_path):
@@ -333,11 +342,16 @@ def test_quantile_oracle_density_requires_a_model(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_bad_bandwidth_text(capsys):
-    code = main(["bands", "--model", "m1", "--bandwidth", "wide",
-                 "--output", "/tmp/unused.csv"])
-    assert code == 1
-    assert "auto" in capsys.readouterr().err
+def test_bad_bandwidth_text(tmp_path, capsys):
+    out = tmp_path / "b.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["bands", "--model", "m1", "--bandwidth", "wide", "--output", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: condbands bands")
+    assert "auto" in err
+    assert "argument --bandwidth: invalid float value: 'wide'" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -348,13 +362,14 @@ def test_bad_bandwidth_text(capsys):
     ["experiment", "sup", "--model", "m1", "--reps", "0"],
     ["experiment", "coverage", "--model", "m1", "--epsilon", "0"],
     ["bands", "--model", "m1", "--n", "0"],
+    ["bands", "--model", "m1", "--bandwidth", "1.5"],
     # 10**17 float64 values need more bytes than any 64-bit address space
     # holds, so each allocation fails at once, whatever the overcommit setting
     ["bands", "--model", "m1", "--x-grid=-1:1:100000000000000000"],
     ["simulate", "--model", "m1", "--n", "100000000000000000"],
     ["experiment", "sup", "--model", "m1", "--n-list", "100000000000000000", "--reps", "1"],
 ], ids=["bands-epsilon", "plotdata-epsilon", "quantile-alpha", "regression-y-range",
-        "sup-reps", "coverage-epsilon", "bands-n", "bands-x-grid-too-large",
+        "sup-reps", "coverage-epsilon", "bands-n", "bands-bandwidth", "bands-x-grid-too-large",
         "simulate-n-too-large", "sup-n-list-too-large"])
 def test_out_of_range_values_exit_one_without_traceback(tmp_path, capsys, argv):
     out = tmp_path / "out"
@@ -396,8 +411,11 @@ def test_file_errors_exit_one_without_traceback(tmp_path, capsys, argv):
     ["experiment", "em-constant", "--model", "m1", "--reps", "2",
      "--output", "{tmp}/missing/r.json"],
     ["bands", "--model", "m1", "--output", "{tmp}"],
+    ["plotdata", "--model", "m1", "--svg", "{tmp}/keep.csv", "--output", "{tmp}/keep.csv"],
+    ["plotdata", "--model", "m1", "--svg", "{tmp}/../{name}/keep.csv", "--output", "{tmp}/keep.csv"],
 ], ids=["simulate", "bands", "bands-input", "regression", "quantile", "plotdata", "plotdata-svg",
-        "experiment-sup", "experiment-em-constant", "output-is-directory"])
+        "experiment-sup", "experiment-em-constant", "output-is-directory", "svg-is-output",
+        "svg-is-output-spelled-otherwise"])
 def test_bad_output_paths_fail_before_any_sampling(tmp_path, capsys, monkeypatch, argv):
     # no draw, no ingest and no replication runs, and no file is created
     # or truncated
@@ -408,9 +426,10 @@ def test_bad_output_paths_fail_before_any_sampling(tmp_path, capsys, monkeypatch
     (tmp_path / "in.csv").write_text("x,y\n0.1,0.2\n")
     keep = tmp_path / "keep.csv"
     keep.write_text("kept\n")
-    assert main([a.format(tmp=tmp_path) for a in argv]) == 1
+    assert main([a.format(tmp=tmp_path, name=tmp_path.name) for a in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert err.count("\n") == 1
     assert work == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", "keep.csv"]
     assert keep.read_text() == "kept\n"
@@ -654,7 +673,7 @@ UNREAD = [(kind, opt) for kind in READS for opt in VALUES if opt not in READS[ki
 def test_experiment_kinds_parse_only_the_options_they_read(kind):
     config = parse_args(["experiment", kind, "--model", "m1", "--output", "out.json"])
     declared = {opt[2:].replace("-", "_") for opt in READS[kind]}
-    assert set(vars(config)) == declared | {"command", "experiment", "runner"}
+    assert set(vars(config)) == declared | {"command", "experiment", "run"}
     assert len(UNREAD) == 26
 
 
@@ -678,7 +697,7 @@ def test_unrecognized_options_show_the_subcommand_usage(tmp_path, capsys):
         main(["bands", "--model", "m1", "--foo", "1", "--output", str(out)])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert err.startswith("usage: condbands bands [-h] [--input INPUT]")
+    assert err.startswith("usage: condbands bands [-h] (--input INPUT | --model {m1,m2})")
     assert err.rstrip().endswith("unrecognized arguments: --foo 1")
     assert not out.exists()
 
@@ -688,6 +707,7 @@ def test_unrecognized_options_show_the_subcommand_usage(tmp_path, capsys):
     ["bands", "--model", "m1", "--x-grid", "0:inf:3"],
     ["bands", "--model", "m1", "--n", "300", "--x-grid", "0:0:1", "--t-grid", "nan:1:3"],
     ["bands", "--model", "m1", "--epsilon", "nan"],
+    ["bands", "--model", "m1", "--bandwidth", "nan"],
     ["plotdata", "--model", "m1", "--epsilon", "inf"],
     ["plotdata", "--model", "m1", "--t-grid=-inf:1:3"],
     ["regression", "--model", "m1", "--n", "300", "--y-range", "0:1", "--x-grid", "nan:0:2"],

@@ -706,6 +706,24 @@ def test_replicated_experiments_accept_numpy_integer_counts():
     assert numpy_ints.to_json() == plain.to_json()
 
 
+SCALAR_SETTINGS = {
+    "cdf_band-epsilon": lambda v: cdf_band(draw(M1, 200, 1), [0.0], [0.5], cfg(), epsilon=v),
+    "quantile_band-alpha": lambda v: quantile_band(
+        draw(M1, 200, 1), [0.0], v, cfg(), oracle_density_provider(M1)),
+    "bandwidth": lambda v: cdf_band(draw(M1, 200, 1), [0.0], [0.5], cfg(h=v)),
+    "coverage_experiment-epsilon": lambda v: coverage_experiment(M1, 200, 1, v, cfg()),
+}
+
+
+@pytest.mark.parametrize("scalar", [np.float32, np.float64, float])
+@pytest.mark.parametrize("entry", SCALAR_SETTINGS)
+def test_numpy_scalar_settings_are_reported_as_python_floats(entry, scalar):
+    # json cannot write a numpy float32; the setting must reach it as the equal Python float
+    value = scalar(0.3)
+    run = SCALAR_SETTINGS[entry]
+    assert run(value).to_json() == run(float(value)).to_json()
+
+
 def test_replications_run_on_the_calling_thread_at_any_worker_count():
     # workers is accepted for compatibility only: every kernel evaluation
     # happens on the caller's thread and the report does not depend on it
@@ -805,6 +823,20 @@ EMPTY_GRID_CALLS = {
 def test_empty_grid_is_a_value_error_at_every_entry_point(entry):
     with pytest.raises(ValueError, match="x_grid must not be empty"):
         EMPTY_GRID_CALLS[entry](draw(M1, 100, 1), cfg(), [])
+
+
+@pytest.mark.parametrize("entry", ["sup_experiment", "coverage_experiment", "em_constant_experiment"])
+def test_a_grid_that_is_not_a_linspace_is_reported_point_by_point(entry):
+    # a rerun from the report must use the same grid: [first, last, count] means a linspace
+    run = EMPTY_GRID_CALLS[entry]
+    nudged = np.linspace(-0.5, 0.5, 5)
+    nudged[1] = np.nextafter(nudged[1], 1.0)
+    assert run(None, cfg(), [0.0, 0.1, 1.0]).params["x_grid"] == [0.0, 0.1, 1.0]
+    assert run(None, cfg(), nudged).params["x_grid"] == nudged.tolist()
+    assert run(None, cfg(), np.linspace(-0.5, 0.5, 5)).params["x_grid"] == [-0.5, 0.5, 5]
+    assert run(None, cfg(), [0.25]).params["x_grid"] == [0.25, 0.25, 1]
+    # np.linspace overflows on this span, and no warning escapes
+    assert run(None, cfg(), [-1e308, 0.0, 1e308]).params["x_grid"] == [-1e308, 0.0, 1e308]
 
 
 @pytest.mark.parametrize("grid, message", [
