@@ -141,7 +141,8 @@ def write_csv(
     blank = np.array([name in blank_nan for name in header])
     for start in range(0, columns[0].size, _CSV_CHUNK_ROWS):
         stop = start + _CSV_CHUNK_ROWS
-        rows = floatfmt.encode_rows(np.column_stack([col[start:stop] for col in columns]), blank)
+        # the chunk column by column, as encode_rows reads it to find runs
+        rows = floatfmt.encode_rows(np.stack([col[start:stop] for col in columns]).T, blank)
         buf.write(rows if binary else rows.decode("ascii"))
 
 

@@ -241,80 +241,111 @@ def _add_replication_args(sub, orders=(0, 1, 2)):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The whole parser: every subcommand with its arguments."""
+    return _parser_for(None)
+
+
+# The subcommands and their help, in the order ``condbands -h`` lists them.
+_COMMAND_HELP = {
+    "simulate": "draw a sample from a built-in model",
+    "bands": "distribution band table",
+    "regression": "regression band table",
+    "quantile": "quantile band table",
+    "experiment": "run a verification experiment",
+    "plotdata": "long-format curve/band data for plotting",
+}
+
+
+def _parser_for(command: str | None) -> argparse.ArgumentParser:
+    """The parser, with the arguments of ``command`` only if it names a subcommand.
+
+    Every subcommand is listed either way, so the root help and errors stay
+    the same; a run parses one subcommand, and builds only its arguments.
+    """
     parser = argparse.ArgumentParser(
         prog="condbands",
         description="Conditional distribution estimates with uniform certainty bands.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    sub = {name: subs.add_parser(name, help=text) for name, text in _COMMAND_HELP.items()}
+    if command in sub:
+        sub = {command: sub[command]}
 
-    p = subs.add_parser("simulate", help="draw a sample from a built-in model")
-    p.add_argument("--model", choices=MODEL_KINDS, required=True)
-    p.add_argument("--n", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", required=True)
-    p.set_defaults(run=_cmd_simulate)
+    if p := sub.get("simulate"):
+        p.add_argument("--model", choices=MODEL_KINDS, required=True)
+        p.add_argument("--n", type=int, default=500)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--output", required=True)
+        p.set_defaults(run=_cmd_simulate)
 
-    p = subs.add_parser("bands", help="distribution band table")
-    _add_source_args(p)
-    _add_fit_args(p)
-    p.add_argument("--t-grid", type=_t_grid_spec, default="jumps", metavar="START:STOP:COUNT|jumps")
-    p.add_argument("--epsilon", type=_finite_float, default=0.0)
-    p.add_argument("--clip", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
-    p.add_argument("--output", required=True)
-    p.set_defaults(run=_table_command(_bands))
+    if p := sub.get("bands"):
+        _add_source_args(p)
+        _add_fit_args(p)
+        p.add_argument("--t-grid", type=_t_grid_spec, default="jumps",
+                       metavar="START:STOP:COUNT|jumps")
+        p.add_argument("--epsilon", type=_finite_float, default=0.0)
+        p.add_argument("--clip", action=argparse.BooleanOptionalAction, default=True)
+        p.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
+        p.add_argument("--output", required=True)
+        p.set_defaults(run=_table_command(_bands))
 
-    p = subs.add_parser("regression", help="regression band table")
-    _add_source_args(p)
-    _add_fit_args(p)
-    p.add_argument("--y-range", type=_range_spec, required=True, metavar="LO:HI")
-    p.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
-    p.add_argument("--output", required=True)
-    p.set_defaults(run=_table_command(_regression))
+    if p := sub.get("regression"):
+        _add_source_args(p)
+        _add_fit_args(p)
+        p.add_argument("--y-range", type=_range_spec, required=True, metavar="LO:HI")
+        p.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
+        p.add_argument("--output", required=True)
+        p.set_defaults(run=_table_command(_regression))
 
-    p = subs.add_parser("quantile", help="quantile band table")
-    _add_source_args(p)
-    _add_fit_args(p)
-    p.add_argument("--alpha", type=_finite_float, default=0.5)
-    p.add_argument("--density", choices=["plugin", "oracle"], default="plugin")
-    p.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
-    p.add_argument("--output", required=True)
-    p.set_defaults(run=_table_command(_quantile))
+    if p := sub.get("quantile"):
+        _add_source_args(p)
+        _add_fit_args(p)
+        p.add_argument("--alpha", type=_finite_float, default=0.5)
+        p.add_argument("--density", choices=["plugin", "oracle"], default="plugin")
+        p.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
+        p.add_argument("--output", required=True)
+        p.set_defaults(run=_table_command(_quantile))
 
-    p = subs.add_parser("experiment", help="run a verification experiment")
-    kinds = p.add_subparsers(dest="experiment", required=True)
-    # the centering reference exists for orders 0 and 1 only
-    k = _add_experiment(kinds, "sup", _each_n(exp_mod.sup_experiment))
-    _add_replication_args(k, orders=(0, 1))
-    k = _add_experiment(kinds, "coverage", _each_n(exp_mod.coverage_experiment, "epsilon"))
-    _add_replication_args(k)
-    k.add_argument("--epsilon", type=_finite_float, default=0.5)
-    k = _add_experiment(kinds, "bochner", _bochner)
-    _add_kernel_arg(k)
-    k.add_argument("--x", type=_finite_float, default=0.0, help="location")
-    k.add_argument("--t", type=_finite_float, default=0.5, help="response point")
-    k.add_argument("--h-list", type=_list_type(_finite_float, "float"), default=(0.4, 0.2, 0.1, 0.05))
-    # em-constant fits orders 0 and 1 itself; without --x-grid, the library
-    # spreads its grid over --interval
-    k = _add_experiment(kinds, "em-constant", _each_n(exp_mod.em_constant_experiment, "interval"))
-    _add_replication_args(k, orders=())
-    k.add_argument("--interval", type=_range_spec, default=(-1.0, 1.0), metavar="LO:HI")
+    if p := sub.get("experiment"):
+        kinds = p.add_subparsers(dest="experiment", required=True)
+        # the centering reference exists for orders 0 and 1 only
+        k = _add_experiment(kinds, "sup", _each_n(exp_mod.sup_experiment))
+        _add_replication_args(k, orders=(0, 1))
+        k = _add_experiment(kinds, "coverage", _each_n(exp_mod.coverage_experiment, "epsilon"))
+        _add_replication_args(k)
+        k.add_argument("--epsilon", type=_finite_float, default=0.5)
+        k = _add_experiment(kinds, "bochner", _bochner)
+        _add_kernel_arg(k)
+        k.add_argument("--x", type=_finite_float, default=0.0, help="location")
+        k.add_argument("--t", type=_finite_float, default=0.5, help="response point")
+        k.add_argument("--h-list", type=_list_type(_finite_float, "float"),
+                       default=(0.4, 0.2, 0.1, 0.05))
+        # em-constant fits orders 0 and 1 itself; without --x-grid, the library
+        # spreads its grid over --interval
+        k = _add_experiment(kinds, "em-constant",
+                            _each_n(exp_mod.em_constant_experiment, "interval"))
+        _add_replication_args(k, orders=())
+        k.add_argument("--interval", type=_range_spec, default=(-1.0, 1.0), metavar="LO:HI")
 
-    p = subs.add_parser("plotdata", help="long-format curve/band data for plotting")
-    _add_source_args(p)
-    _add_fit_args(p)
-    p.add_argument("--t-grid", type=_t_grid_spec, default=None, metavar="START:STOP:COUNT|jumps")
-    p.add_argument("--epsilon", type=_finite_float, default=0.0)
-    p.add_argument("--clip", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--svg", help="also write a minimal SVG rendering")
-    p.add_argument("--output", required=True)
-    p.set_defaults(run=_cmd_plotdata)
+    if p := sub.get("plotdata"):
+        _add_source_args(p)
+        _add_fit_args(p)
+        p.add_argument("--t-grid", type=_t_grid_spec, default=None,
+                       metavar="START:STOP:COUNT|jumps")
+        p.add_argument("--epsilon", type=_finite_float, default=0.0)
+        p.add_argument("--clip", action=argparse.BooleanOptionalAction, default=True)
+        p.add_argument("--svg", help="also write a minimal SVG rendering")
+        p.add_argument("--output", required=True)
+        p.set_defaults(run=_cmd_plotdata)
 
     return parser
 
 
 def parse_args(argv=None) -> argparse.Namespace:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the root parser has no option that takes a value: its first word not
+    # starting with "-" names the subcommand
+    parser = _parser_for(next((arg for arg in argv if not arg.startswith("-")), None))
     config, extras = parser.parse_known_args(argv)
     if extras:
         _innermost(parser, config).error(f"unrecognized arguments: {' '.join(extras)}")
@@ -521,15 +552,20 @@ def _cmd_plotdata(config: argparse.Namespace) -> None:
 
 
 def _check_outputs(config: argparse.Namespace) -> None:
-    """Fail before any work if an output lacks its directory, or two outputs are one file.
+    """Fail before any work if an output lacks its directory, or names the input or another output.
 
-    Nothing is created or truncated here; the command opens its outputs
-    only once their contents are computed.
+    Nothing is read, created or truncated here; the command opens its
+    outputs only once their contents are computed.
     """
-    paths = [path for path in (config.output, getattr(config, "svg", None)) if path is not None]
-    if len({os.path.realpath(path) for path in paths}) < len(paths):
-        raise CondBandsError(f"--svg {paths[1]!r} and --output {paths[0]!r} name the same file")
-    for path in paths:
+    outputs = [("--output", config.output), ("--svg", getattr(config, "svg", None))]
+    outputs = [(flag, path) for flag, path in outputs if path is not None]
+    source = getattr(config, "input", None)
+    files = {} if source is None else {os.path.realpath(source): "--input"}
+    for flag, path in outputs:
+        other = files.setdefault(os.path.realpath(path), flag)
+        if other != flag:
+            raise CondBandsError(f"{flag} {path!r} names the same file as {other}")
+    for flag, path in outputs:
         folder = os.path.dirname(path) or "."
         if not os.path.isdir(folder):
             raise CondBandsError(f"output directory {folder!r} of {path!r} does not exist")

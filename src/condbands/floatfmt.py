@@ -23,10 +23,17 @@ byte, the digits placed after ``0.`` and leading zeros or split around the
 ``.``, and the separator in the top byte (``,``) or two (CRLF).  Bytes a
 field does not use stay zero and are deleted by ``bytes.translate``.
 
+Runs.  Down a column, fields with the same bits make a run, such as x and the
+half-width over a location's rows of a band table.  Each run is formatted
+once, from its first field, and its three words are repeated down the run.
+Runs compare bits, so -0.0 and 0.0 stay apart, as do NaNs of different
+payloads; a column of distinct values is runs of length one.
+
 Other fields -- exponent form, subnormals, infinities, NaN outside a blank
 column and a field whose text and separator exceed 24 bytes -- leave a marker
-byte that is replaced by their ``repr``.  So does every field when ``repr``
-is not in the short style, which the digits assume.
+byte that is replaced by their ``repr``, field by field in row order.  So
+does every field when ``repr`` is not in the short style, which the digits
+assume.
 """
 
 from __future__ import annotations
@@ -197,11 +204,11 @@ def _shortest(bits: np.ndarray):
     return digits, e20 - lt16
 
 
-def _text_words(digits, decpt3, neg, ncols, out) -> np.ndarray:
+def _text_words(digits, decpt3, neg, tail, out) -> np.ndarray:
     """Text and separator of 17-digit values, three words per row of ``out``.
 
-    The values are rows of ``ncols`` fields.  Returns where the text leaves
-    no room for the separator.
+    The values from index ``tail`` on end a row.  Returns where the text of
+    those leaves no room for the separator.
     """
     ascii4 = _digit_table()
     top = digits // _U(10**8)
@@ -224,7 +231,7 @@ def _text_words(digits, decpt3, neg, ncols, out) -> np.ndarray:
     s2 = d >> _U(24)
 
     layout = np.minimum(decpt3, _U(_DECPT_MAX - _DECPT_MIN)).astype(np.intp)
-    last = layout.reshape(-1, ncols)[:, -1]
+    last = layout[tail:]
     last += _DECPT_MAX - _DECPT_MIN + 1
     shift, *masks = (col.take(layout) for col in _layout_table())
     rshift = _U(64) - shift
@@ -242,7 +249,7 @@ def _text_words(digits, decpt3, neg, ncols, out) -> np.ndarray:
         out[:, i] |= masks[6 + i]
     out[:, 0] |= neg * _U(ord("-"))
     # "-0.000" and 17 digits take 23 bytes, with no room left for CRLF
-    return (last == _DECPT_MAX - _DECPT_MIN + 1) & (s2.reshape(-1, ncols)[:, -1] != 0)
+    return (last == _DECPT_MAX - _DECPT_MIN + 1) & (s2[tail:] != 0)
 
 
 @functools.cache
@@ -255,22 +262,48 @@ def encode_rows(block: np.ndarray, blank: np.ndarray) -> bytes:
     """CSV bytes of the float64 ``block`` (rows x fields), ``repr`` per field.
 
     ``blank[j]`` writes NaN in column ``j`` as an empty field.  Rows end in
-    CRLF; nothing is quoted.
+    CRLF; nothing is quoted.  Each run of equal bits down a column is
+    formatted once; a block that is the transpose of a C-ordered array is
+    read without a copy.
     """
     rows, ncols = block.shape
-    block = np.ascontiguousarray(block, dtype=np.float64)
-    bits = block.view(np.uint64).reshape(-1)
-    size = np.abs(block)
-    zero = (size == 0.0).reshape(-1)
-    fast = ((size >= 1e-4) & (size < 1e16)).reshape(-1)
-    empty = (np.isnan(block) & blank).reshape(-1)
+    columns = np.ascontiguousarray(np.asarray(block, dtype=np.float64).T)
+    bits = columns.view(np.uint64)
+    head = np.ones(bits.shape, dtype=bool)  # the fields that start a run
+    np.not_equal(bits[:, 1:], bits[:, :-1], out=head[:, 1:])
+    runs = np.count_nonzero(head, axis=1)
+    head = head.reshape(-1)
+    # run[i, j] is the run of field (i, j), numbered column by column
+    run = np.cumsum(head, dtype=np.intp).reshape(ncols, rows).T
+    run -= 1
+    words, slow = _encode_fields(bits.reshape(-1)[head], np.repeat(blank, runs), runs[-1])
+    data = words.take(run, axis=0).astype("<u8", copy=False).tobytes().translate(None, b"\0")
+    if not slow.any():
+        return data
+    texts = [repr(v).encode() for v in columns.T[slow.take(run)].tolist()]
+    parts = data.split(bytes([_MARK]))
+    return b"".join([parts[0], *itertools.chain.from_iterable(zip(texts, parts[1:]))])
+
+
+def _encode_fields(bits: np.ndarray, blank: np.ndarray, nlast: int):
+    """The three words of each field, and which fields stand for their ``repr``.
+
+    ``blank`` marks the fields whose NaN is empty; the last ``nlast`` fields
+    end a row.
+    """
+    values = bits.view(np.float64)
+    size = np.abs(values)
+    zero = size == 0.0
+    fast = (size >= 1e-4) & (size < 1e16)
+    empty = np.isnan(values) & blank
 
     digits, decpt3 = _shortest(bits)
     digits[zero] = 0
     decpt3[zero] = 1 - _DECPT_MIN  # 0.0
     fast |= zero
-    out = np.empty((rows * ncols, 3), dtype=np.uint64)
-    fast[ncols - 1::ncols] &= ~_text_words(digits, decpt3, bits >> _U(63), ncols, out)
+    out = np.empty((bits.size, 3), dtype=np.uint64)
+    tail = bits.size - nlast
+    fast[tail:] &= ~_text_words(digits, decpt3, bits >> _U(63), tail, out)
     if sys.float_repr_style != "short":
         fast[:] = False
     slow = ~fast & ~empty
@@ -279,10 +312,5 @@ def encode_rows(block: np.ndarray, blank: np.ndarray) -> bytes:
         out[other, 0] = slow[other] * _U(_MARK)
         out[other, 1] = 0
         comma, crlf = _separator_words()
-        out[other, 2] = np.where(other % ncols == ncols - 1, crlf, comma)
-    data = out.astype("<u8", copy=False).tobytes().translate(None, b"\0")
-    if not slow.any():
-        return data
-    texts = [repr(v).encode() for v in block.reshape(-1)[slow].tolist()]
-    parts = data.split(bytes([_MARK]))
-    return b"".join([parts[0], *itertools.chain.from_iterable(zip(texts, parts[1:]))])
+        out[other, 2] = np.where(other >= tail, crlf, comma)
+    return out, slow

@@ -34,6 +34,7 @@ from condbands import (
     regression_band,
     sim_model,
 )
+from condbands.bands import write_csv
 from condbands.cli import main
 
 EPA = get_kernel("epanechnikov")
@@ -717,20 +718,34 @@ def reference_to_json(table):
 
 
 def synthetic_table(n, seed):
-    """A table whose columns mix repeats, signed zeros, NaN and extreme scales."""
+    """A table whose every column is runs of repeated bits.
+
+    Runs are 1 row long and up, and hold signed zeros, NaN and values of
+    every scale.  In every column but x, which repeats in blocks of 100 like
+    a band table, a run spans each chunk edge at rows 1024 and 2048.  The
+    first rows put a run of -0.0 next to one of 0.0, runs of 5e-324, 1e16,
+    inf and NaN in a column without blanks, and in the last column a run of
+    a 17-digit value too long for a field that ends in CRLF.
+    """
     rng = np.random.default_rng(seed)
     special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-7, 1e16, -1e16, 0.1, 1.0 / 3.0,
-                        np.nan, np.inf])
+                        np.nan, np.inf, -0.00012345678901234567])
 
     def column():
-        return np.where(rng.random(n) < 0.5, rng.choice(special, n),
-                        rng.normal(scale=10.0 ** rng.integers(-9, 9, n)))
+        starts = rng.random(n) < 0.4  # rows that start a run
+        starts[:1] = True
+        starts[1021:1028] = starts[2045:2052] = False
+        values = np.where(rng.random(n) < 0.5, rng.choice(special, n),
+                          rng.normal(scale=10.0 ** rng.integers(-9, 9, n)))
+        return values[np.cumsum(starts) - 1]
 
-    t = column()
-    t[rng.random(n) < 0.2] = np.nan
     x = np.repeat(rng.normal(size=n // 100 + 1), 100)[:n]
-    return BandTable(x=x, t=t, estimate=column(), halfwidth=column(),
-                     lower=column(), upper=column(), metadata={"kind": "synthetic"})
+    t, estimate, halfwidth, lower, upper = (column() for _ in range(5))
+    estimate[:6] = np.repeat([-0.0, 0.0], 3)[:n]
+    lower[:12] = np.repeat([5e-324, 1e16, np.inf, np.nan], 3)[:n]
+    upper[:6] = np.repeat([-0.00012345678901234567, 1e-7], 3)[:n]
+    return BandTable(x=x, t=t, estimate=estimate, halfwidth=halfwidth,
+                     lower=lower, upper=upper, metadata={"kind": "synthetic"})
 
 
 def csv_text(table, writer):
@@ -739,12 +754,28 @@ def csv_text(table, writer):
     return buf.getvalue()
 
 
-@pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2047, 2048, 2049, 4097])
+@pytest.mark.parametrize("n", [0, 1, 2, 12, 1023, 1024, 1025, 1027, 2047, 2048, 2049, 2051, 4097])
 def test_to_csv_matches_per_row_writer(n):
     table = synthetic_table(n, seed=n)
+    for col in table._columns():
+        bits = col.view(np.uint64)
+        assert n < 12 or (bits[1:] == bits[:-1]).any()  # each column has runs
     got = csv_text(table, BandTable.to_csv)
     assert got == csv_text(table, reference_to_csv)
     assert got.count("\r\n") == n + 1
+
+
+@pytest.mark.parametrize("n", [1, 1024, 2500])
+def test_write_csv_of_a_sample_matches_csv_writer(n):
+    # the layout of a simulated sample: two columns of distinct values
+    rng = np.random.default_rng(n)
+    xs, ys = rng.uniform(-1.0, 1.0, n), rng.standard_normal(n) * 10.0 ** rng.integers(-6, 6, n)
+    got = io.StringIO()
+    write_csv(got, ("x", "y"), (xs, ys))
+    expected = io.StringIO()
+    csv.writer(expected).writerows([("x", "y"), *((repr(a), repr(b)) for a, b in
+                                                 zip(xs.tolist(), ys.tolist()))])
+    assert got.getvalue() == expected.getvalue()
 
 
 def test_to_csv_keeps_signed_zeros_and_nan_text():

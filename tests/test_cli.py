@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import io
@@ -413,9 +414,17 @@ def test_file_errors_exit_one_without_traceback(tmp_path, capsys, argv):
     ["bands", "--model", "m1", "--output", "{tmp}"],
     ["plotdata", "--model", "m1", "--svg", "{tmp}/keep.csv", "--output", "{tmp}/keep.csv"],
     ["plotdata", "--model", "m1", "--svg", "{tmp}/../{name}/keep.csv", "--output", "{tmp}/keep.csv"],
+    ["bands", "--input", "{tmp}/in.csv", "--output", "{tmp}/in.csv"],
+    ["regression", "--input", "{tmp}/in.csv", "--y-range", "0:1", "--output", "{tmp}/in.csv"],
+    ["quantile", "--input", "{tmp}/in.csv", "--output", "{tmp}/../{name}/in.csv"],
+    ["plotdata", "--input", "{tmp}/in.csv", "--output", "{tmp}/in.csv"],
+    ["plotdata", "--input", "{tmp}/../{name}/in.csv", "--svg", "{tmp}/in.csv",
+     "--output", "{tmp}/keep.csv"],
 ], ids=["simulate", "bands", "bands-input", "regression", "quantile", "plotdata", "plotdata-svg",
         "experiment-sup", "experiment-em-constant", "output-is-directory", "svg-is-output",
-        "svg-is-output-spelled-otherwise"])
+        "svg-is-output-spelled-otherwise", "bands-output-is-input", "regression-output-is-input",
+        "quantile-output-is-input-spelled-otherwise", "plotdata-output-is-input",
+        "plotdata-svg-is-input"])
 def test_bad_output_paths_fail_before_any_sampling(tmp_path, capsys, monkeypatch, argv):
     # no draw, no ingest and no replication runs, and no file is created
     # or truncated
@@ -433,6 +442,7 @@ def test_bad_output_paths_fail_before_any_sampling(tmp_path, capsys, monkeypatch
     assert work == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", "keep.csv"]
     assert keep.read_text() == "kept\n"
+    assert (tmp_path / "in.csv").read_text() == "x,y\n0.1,0.2\n"
 
 
 # ---------------------------------------------------------------------------
@@ -700,6 +710,39 @@ def test_unrecognized_options_show_the_subcommand_usage(tmp_path, capsys):
     assert err.startswith("usage: condbands bands [-h] (--input INPUT | --model {m1,m2})")
     assert err.rstrip().endswith("unrecognized arguments: --foo 1")
     assert not out.exists()
+
+
+PRINTING_ARGVS = [
+    ["-h"], ["-h", "bands"], *([command, "-h"] for command in cli._COMMAND_HELP),
+    *(["experiment", kind, "-h"] for kind in ("sup", "coverage", "bochner", "em-constant")),
+    [], ["nosuch", "--model", "m1"], ["bands", "--model", "m1", "--nosuch", "--output", "o"],
+    ["--nosuch", "plotdata", "--model", "m1", "--output", "o"],
+    ["experiment", "sup", "--model", "m1", "--output", "o", "--nosuch"],
+]
+
+
+@pytest.mark.parametrize("argv", PRINTING_ARGVS, ids=lambda argv: " ".join(argv) or "no-command")
+def test_parsing_prints_what_the_whole_parser_prints(capsys, monkeypatch, argv):
+    # a run builds the arguments of its own subcommand only, which must not
+    # change a help text, a usage line or an error
+    def printed():
+        with pytest.raises(SystemExit) as exc:
+            parse_args(argv)
+        return exc.value.code, capsys.readouterr()
+
+    own = printed()
+    whole = cli._parser_for
+    monkeypatch.setattr(cli, "_parser_for", lambda command: whole(None))
+    assert printed() == own
+
+
+@pytest.mark.parametrize("command", [*cli._COMMAND_HELP, "nosuch", None])
+def test_a_parser_holds_the_arguments_of_the_named_command_only(command):
+    subs = next(a for a in cli._parser_for(command)._actions
+                if isinstance(a, argparse._SubParsersAction))
+    assert list(subs.choices) == list(cli._COMMAND_HELP)
+    filled = [name for name, sub in subs.choices.items() if len(sub._actions) > 1]
+    assert filled == ([command] if command in subs.choices else list(subs.choices))
 
 
 @pytest.mark.parametrize("argv", [
