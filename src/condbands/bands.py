@@ -201,7 +201,7 @@ def fit_grid(
 
 
 def _table_columns(rows: list, clip: bool = False) -> tuple[np.ndarray, ...]:
-    """The six table columns of ``rows`` of (x, t, estimate, halfwidth, ...).
+    """The six table columns of ``rows`` of (x, t, estimate, halfwidth).
 
     x and the half-width repeat over each row's t and estimate (scalars or
     equal-length arrays).  ``rows`` is emptied once copied: the table is held once.
@@ -220,17 +220,17 @@ def _table_columns(rows: list, clip: bool = False) -> tuple[np.ndarray, ...]:
 
 def _band_table(
     sample: Sample, x_grid: Sequence[float], cfg: EstimatorConfig, kind: str, reduce: Callable,
-    settings: Callable[[list], dict], clip: bool = False,
+    settings: dict, clip: bool = False,
 ) -> BandTable:
     """The ``kind`` band table of ``reduce`` at each location of ``x_grid``.
 
     ``reduce`` gives a location's rows for :func:`_table_columns`, ``clip``
-    goes to it, and ``settings(kept)`` gives the metadata after the common keys.
+    goes to it, and ``settings``, read after the pass, follow the common keys.
     """
     kept, skipped = fit_grid(sample, x_grid, cfg, reduce)
     del reduce  # it may hold arrays as long as the sample; free them before the columns
     meta = {"kind": kind, "order": cfg.order, "kernel": cfg.kernel.name, "bandwidth": cfg.bandwidth,
-            "n": sample.n, "skipped_locations": skipped, **settings(kept)}
+            "n": sample.n, "skipped_locations": skipped, **settings}
     return BandTable(*_table_columns(kept, clip), metadata=meta)
 
 
@@ -288,7 +288,7 @@ def cdf_band(
     t_mode = "jumps" if isinstance(t_grid, str) else "explicit"
     return _band_table(
         sample, x_grid, cfg, "cdf", _cdf_reduction(sample, t_grid, epsilon),
-        lambda blocks: {"epsilon": float(epsilon), "clipped": clip, "t_grid": t_mode}, clip,
+        {"epsilon": float(epsilon), "clipped": clip, "t_grid": t_mode}, clip,
     )
 
 
@@ -306,7 +306,7 @@ def regression_band(
     def row(x, fit, half_l):
         return float(x), math.nan, fit.regression(sample), (b - a) * half_l
 
-    return _band_table(sample, x_grid, cfg, "regression", row, lambda rows: {"y_range": [a, b]})
+    return _band_table(sample, x_grid, cfg, "regression", row, {"y_range": [a, b]})
 
 
 def quantile_band(
@@ -328,6 +328,7 @@ def quantile_band(
     source of the last kept location.
     """
     alpha = _check_open_unit("alpha", alpha)
+    settings = {"alpha": alpha}
 
     def row(x, fit, half_l):
         q = quantile_estimate(fit.curve(sample, monotonize=False), alpha)
@@ -340,17 +341,15 @@ def quantile_band(
             raise ZeroJointDensity(
                 f"joint density {pair.fxy!r} at (x, q) = ({x}, {q}) is not finite above tolerance"
             )
-        return float(x), math.nan, q, 2.0 * half_l * pair.fx / pair.fxy, pair.source
+        settings["density_source"] = pair.source
+        return float(x), math.nan, q, 2.0 * half_l * pair.fx / pair.fxy
 
-    def settings(rows):
-        meta = {"alpha": alpha, "density_source": rows[-1][4]}
-        if meta["density_source"] == "plugin":
-            meta["density_note"] = (
-                "plug-in densities reuse the estimation bandwidth in both coordinates"
-            )
-        return meta
-
-    return _band_table(sample, x_grid, cfg, "quantile", row, settings)
+    table = _band_table(sample, x_grid, cfg, "quantile", row, settings)
+    if settings["density_source"] == "plugin":
+        table.metadata["density_note"] = (
+            "plug-in densities reuse the estimation bandwidth in both coordinates"
+        )
+    return table
 
 
 def density_plugin(sample: Sample, x: float, y: float, cfg: EstimatorConfig) -> DensityPair:

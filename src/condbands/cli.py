@@ -32,7 +32,7 @@ from .simulation import (
     true_cdf,
 )
 
-__all__ = ["ingest_csv", "build_parser", "parse_args", "run", "main"]
+__all__ = ["ingest_csv", "parse_args", "run", "main"]
 
 
 def ingest_csv(path: str) -> Sample:
@@ -104,25 +104,28 @@ def _ingest_csv_strict(path: str) -> Sample:
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = None
-        for lineno, row in enumerate(reader, start=1):
-            if header is None:
-                header = [c.strip().lower() for c in row]
-                if header != ["x", "y"]:
-                    raise ParseError(f"expected header 'x,y', got {','.join(row)!r}", line=lineno)
-                continue
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 2:
-                raise ParseError(f"expected 2 fields, got {len(row)}", line=lineno)
-            try:
-                x_val = float(row[0])
-                y_val = float(row[1])
-            except ValueError:
-                raise ParseError(f"non-numeric row {row!r}", line=lineno) from None
-            if not (math.isfinite(x_val) and math.isfinite(y_val)):
-                raise ParseError(f"non-finite row {row!r}", line=lineno)
-            xs.append(x_val)
-            ys.append(y_val)
+        try:
+            for lineno, row in enumerate(reader, start=1):
+                if header is None:
+                    header = [c.strip().lower() for c in row]
+                    if header != ["x", "y"]:
+                        raise ParseError(f"expected header 'x,y', got {','.join(row)!r}", line=lineno)
+                    continue
+                if not row or all(not c.strip() for c in row):
+                    continue
+                if len(row) != 2:
+                    raise ParseError(f"expected 2 fields, got {len(row)}", line=lineno)
+                try:
+                    x_val = float(row[0])
+                    y_val = float(row[1])
+                except ValueError:
+                    raise ParseError(f"non-numeric row {row!r}", line=lineno) from None
+                if not (math.isfinite(x_val) and math.isfinite(y_val)):
+                    raise ParseError(f"non-finite row {row!r}", line=lineno)
+                xs.append(x_val)
+                ys.append(y_val)
+        except csv.Error as exc:  # such as a field longer than csv.field_size_limit()
+            raise ParseError(str(exc), line=reader.line_num) from None
     if header is None:
         raise EmptyInput(f"{path} is empty")
     if not xs:
@@ -240,11 +243,6 @@ def _add_replication_args(sub, orders=(0, 1, 2)):
     sub.set_defaults(x_grid=None)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The whole parser: every subcommand with its arguments."""
-    return _parser_for(None)
-
-
 # The subcommands and their help, in the order ``condbands -h`` lists them.
 _COMMAND_HELP = {
     "simulate": "draw a sample from a built-in model",
@@ -257,7 +255,7 @@ _COMMAND_HELP = {
 
 
 def _parser_for(command: str | None) -> argparse.ArgumentParser:
-    """The parser, with the arguments of ``command`` only if it names a subcommand.
+    """The parser: the arguments of every subcommand, or of ``command`` only if it names one.
 
     Every subcommand is listed either way, so the root help and errors stay
     the same; a run parses one subcommand, and builds only its arguments.
@@ -551,6 +549,13 @@ def _cmd_plotdata(config: argparse.Namespace) -> None:
         _write_svg(config.svg, panels)
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether paths ``a`` and ``b`` name one file; two that exist may be hard links."""
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
+
+
 def _check_outputs(config: argparse.Namespace) -> None:
     """Fail before any work if an output lacks its directory, or names the input or another output.
 
@@ -560,11 +565,12 @@ def _check_outputs(config: argparse.Namespace) -> None:
     outputs = [("--output", config.output), ("--svg", getattr(config, "svg", None))]
     outputs = [(flag, path) for flag, path in outputs if path is not None]
     source = getattr(config, "input", None)
-    files = {} if source is None else {os.path.realpath(source): "--input"}
+    named = [] if source is None else [("--input", source)]
     for flag, path in outputs:
-        other = files.setdefault(os.path.realpath(path), flag)
-        if other != flag:
+        other = next((f for f, p in named if _same_file(p, path)), None)
+        if other is not None:
             raise CondBandsError(f"{flag} {path!r} names the same file as {other}")
+        named.append((flag, path))
     for flag, path in outputs:
         folder = os.path.dirname(path) or "."
         if not os.path.isdir(folder):

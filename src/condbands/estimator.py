@@ -265,10 +265,6 @@ class LocalWeights:
         w[self.window.index] = self.window_weights
         return w
 
-    def at_order(self, order: int) -> LocalWeights:
-        """The fit of ``order`` on the same window."""
-        return _fit(self.x, self.window, _check_order(order), self.n)
-
     def curve(self, sample: Sample, monotonize: bool = True) -> CdfCurve:
         """Estimated conditional distribution curve of this fit.
 
@@ -330,13 +326,6 @@ class CdfCurve:
     values: np.ndarray
     order: int
     monotonized: bool
-
-    def value_at(self, t):
-        """Evaluate the step curve at scalar or array ``t``."""
-        t_arr = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.jump_ts, t_arr, side="right") - 1
-        out = np.where(idx >= 0, self.values[np.maximum(idx, 0)], 0.0)
-        return float(out) if t_arr.ndim == 0 else out
 
 
 _EPS = np.finfo(float).eps

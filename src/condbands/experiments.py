@@ -38,7 +38,7 @@ import numpy as np
 from .errors import InsufficientLocalData, InvalidBandwidth, QuadratureFailure
 from .estimator import (
     EstimatorConfig, _check_grid, _check_integer, _check_interval, _check_open_unit, _power_sums,
-    _weight_vector,
+    _weight_vector, local_weights,
 )
 from .bands import _DENSITY_TOL, fit_grid
 from .kernels import Kernel
@@ -523,15 +523,16 @@ def em_constant_experiment(
     inf_fx = float(marginal_density(model, np.linspace(a, b, 2049)).min())
     theta = math.sqrt(cfg.kernel.l2_norm_sq) / math.sqrt(2.0 * inf_fx)
     rows = _reference_rows(model, cfg, False, (0, 1))
+    cfg1 = replace(cfg, order=1)
 
     def stat(sample):
         def deviations(x, fit, half):
-            # the order-1 fit reuses the order-0 window; it is skipped alone
-            # where it is degenerate, while a location degenerate at order 0
-            # has d0(x) too small for a band at either order
+            # the order-1 fit reuses the order-0 window, from the sample's window
+            # slot; it is skipped alone where it is degenerate, while a location
+            # degenerate at order 0 has d0(x) too small for a band at either order
             curves = [fit.curve(sample, monotonize=False)]
             with suppress(InsufficientLocalData):
-                curves.append(fit.at_order(1).curve(sample, monotonize=False))
+                curves.append(local_weights(sample, x, cfg1).curve(sample, monotonize=False))
             values = np.array([c.values for c in curves])
             refs = rows(x, curves[0].jump_ts)[: len(curves)]
             return _step_sup_deviations(values, refs).tolist()

@@ -22,6 +22,7 @@ from condbands import (
     band_halfwidth,
     cdf_band,
     cdf_curve,
+    cdf_estimate,
     certainty_halfwidth,
     density_plugin,
     draw,
@@ -132,8 +133,7 @@ def test_cdf_band_explicit_t_grid_matches_curve():
     c = cfg(h=0.35)
     ts = np.linspace(0.1, 0.9, 5)
     table = cdf_band(sample, [0.2], ts, c, epsilon=0.0, clip=False)
-    curve = cdf_curve(sample, 0.2, c, monotonize=False)
-    assert np.allclose(table.estimate, curve.value_at(ts), atol=1e-14)
+    assert np.allclose(table.estimate, [cdf_estimate(sample, 0.2, t, c) for t in ts], atol=1e-14)
     assert np.allclose(table.t, ts)
 
 
@@ -151,8 +151,9 @@ EDGE_TS = np.array([0.5, 0.25, -0.0, 0.0, -0.3, 1.7, np.inf, 0.5, -np.inf, 0.99,
 @pytest.mark.parametrize("name", ["epanechnikov", "uniform", "gaussian"])
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_cdf_band_explicit_grid_matches_the_curve(name, order):
-    # every estimate equals the raw curve read back at t, at every location
-    # kept; a location without data (x = 50) is skipped as with "jumps"
+    # every estimate equals the point estimate at t, and the raw curve's value
+    # where t is one of its jumps, at every location kept; a location without
+    # data (x = 50) is skipped as with "jumps"
     sample = _tied_sample(400, 19)
     ts = np.concatenate((EDGE_TS, sample.ys[:6], [sample.y_range[0], sample.y_range[1]]))
     c = cfg(kernel=get_kernel(name), h=0.35, order=order)
@@ -167,9 +168,12 @@ def test_cdf_band_explicit_grid_matches_the_curve(name, order):
     assert table.t.tobytes() == np.tile(ts, len(kept)).tobytes()
     for i, x in enumerate(kept):
         rows = slice(i * ts.size, (i + 1) * ts.size)
-        fit = local_weights(sample, x, c)
-        want = fit.curve(sample, monotonize=False).value_at(ts)
+        want = np.array([cdf_estimate(sample, x, t, c) for t in ts])
         assert np.all(np.abs(table.estimate[rows] - want) <= 1e-13)
+        curve = local_weights(sample, x, c).curve(sample, monotonize=False)
+        at_jump = np.isin(ts, curve.jump_ts)
+        jump = np.searchsorted(curve.jump_ts, ts[at_jump])
+        assert np.all(np.abs(table.estimate[rows][at_jump] - curve.values[jump]) <= 1e-13)
         half = jumps.halfwidth[jumps.x == x][0]
         assert np.all(table.halfwidth[rows] == half)
         assert table.estimate[rows][ts == -np.inf].tolist() == [0.0]

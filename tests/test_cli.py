@@ -147,6 +147,26 @@ def test_ingest_reports_undecodable_bytes_as_parse_error(tmp_path):
     assert "UTF-8" in str(err.value)
 
 
+# a field longer than csv.field_size_limit() (131 072 characters by default),
+# unquoted and quoted
+OVERLONG_FIELDS = {"unquoted": "3," + "a" * 200_000, "quoted": '3,"' + "4" * 200_000 + '"'}
+
+
+@pytest.mark.parametrize("row", OVERLONG_FIELDS.values(), ids=OVERLONG_FIELDS)
+def test_an_overlong_field_is_a_parse_error(tmp_path, capsys, row):
+    path = write(tmp_path / "long.csv", f"x,y\n1,2\n{row}\n")
+    with pytest.raises(ParseError) as err:
+        ingest_csv(path)
+    assert err.value.line == 3
+    assert str(err.value).startswith("line 3: field larger than field limit")
+    out = tmp_path / "out.csv"
+    assert main(["bands", "--input", path, "--output", str(out)]) == 1
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("error: line 3: ") and "Traceback" not in stderr
+    assert stderr.count("\n") == 1
+    assert not out.exists()
+
+
 def _outcome(path, fast=True):
     """What ``ingest_csv(path)`` gives, with or without its fast path: the
     sample's bytes, or the error's type, message and line."""
@@ -420,14 +440,20 @@ def test_file_errors_exit_one_without_traceback(tmp_path, capsys, argv):
     ["plotdata", "--input", "{tmp}/in.csv", "--output", "{tmp}/in.csv"],
     ["plotdata", "--input", "{tmp}/../{name}/in.csv", "--svg", "{tmp}/in.csv",
      "--output", "{tmp}/keep.csv"],
+    ["bands", "--input", "{tmp}/in.csv", "--output", "{tmp}/in-link.csv"],
+    ["plotdata", "--input", "{tmp}/in.csv", "--svg", "{tmp}/in-link.csv",
+     "--output", "{tmp}/keep.csv"],
+    ["plotdata", "--model", "m1", "--svg", "{tmp}/keep-link.csv", "--output", "{tmp}/keep.csv"],
 ], ids=["simulate", "bands", "bands-input", "regression", "quantile", "plotdata", "plotdata-svg",
         "experiment-sup", "experiment-em-constant", "output-is-directory", "svg-is-output",
         "svg-is-output-spelled-otherwise", "bands-output-is-input", "regression-output-is-input",
         "quantile-output-is-input-spelled-otherwise", "plotdata-output-is-input",
-        "plotdata-svg-is-input"])
+        "plotdata-svg-is-input", "bands-output-is-a-hard-link-to-input",
+        "plotdata-svg-is-a-hard-link-to-input", "plotdata-svg-is-a-hard-link-to-output"])
 def test_bad_output_paths_fail_before_any_sampling(tmp_path, capsys, monkeypatch, argv):
     # no draw, no ingest and no replication runs, and no file is created
-    # or truncated
+    # or truncated; NAME-link.csv is a hard link to NAME.csv, which another
+    # path does not reveal
     work = []
     monkeypatch.setattr(condbands.cli, "draw", lambda *a: work.append("draw"))
     monkeypatch.setattr(condbands.cli, "ingest_csv", lambda *a: work.append("ingest"))
@@ -435,12 +461,18 @@ def test_bad_output_paths_fail_before_any_sampling(tmp_path, capsys, monkeypatch
     (tmp_path / "in.csv").write_text("x,y\n0.1,0.2\n")
     keep = tmp_path / "keep.csv"
     keep.write_text("kept\n")
+    links = [f"{name}-link.csv" for name in ("in", "keep") if f"{{tmp}}/{name}-link.csv" in argv]
+    for link in links:
+        try:
+            os.link(tmp_path / link.replace("-link", ""), tmp_path / link)
+        except (AttributeError, OSError) as exc:  # no os.link, or a file system without links
+            pytest.skip(f"cannot make a hard link: {exc!r}")
     assert main([a.format(tmp=tmp_path, name=tmp_path.name) for a in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert err.count("\n") == 1
     assert work == []
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", "keep.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["in.csv", "keep.csv", *links])
     assert keep.read_text() == "kept\n"
     assert (tmp_path / "in.csv").read_text() == "x,y\n0.1,0.2\n"
 

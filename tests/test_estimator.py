@@ -89,7 +89,6 @@ M1 = sim_model("m1")
 # entry point -> (argument name, call with the argument set to a value)
 INTEGER_ARGUMENTS = {
     "EstimatorConfig": ("order", lambda v: cfg(order=v)),
-    "at_order": ("order", lambda v: local_weights(SMALL, 0.0, cfg()).at_order(v)),
     "local_moments": ("jmax", lambda v: local_moments(SMALL, 0.0, cfg(), jmax=v)),
     "draw": ("n", lambda v: draw(M1, v, 0)),
     "draw_conditional": ("n", lambda v: draw_conditional(M1, 0.0, v, 0)),
@@ -115,7 +114,7 @@ def test_a_numpy_integer_order_is_kept_as_an_int():
     assert type(c.order) is int and c == cfg(order=1)
     table = cdf_band(SMALL, [0.0], "jumps", c)
     assert json.loads(table.to_json())["metadata"]["order"] == 1
-    assert type(local_weights(SMALL, 0.0, c).at_order(np.int8(0)).order) is int
+    assert type(local_weights(SMALL, 0.0, dataclasses.replace(c, order=np.int8(0))).order) is int
 
 
 def test_reference_bandwidth():
@@ -364,19 +363,27 @@ def test_empty_window_is_insufficient_local_data(kernel):
 
 @pytest.mark.parametrize("kernel", [EPA, UNI, GAU])
 def test_fit_at_another_order_matches_a_direct_fit(kernel):
+    # em-constant's order-1 fit: local_weights right after the order-0 fit gets
+    # that fit's window back from the sample's window slot, and its weights and
+    # d0(x) are those of a fit on a fresh sample, bit for bit
     rng = np.random.default_rng(3)
-    s = Sample(xs=rng.normal(size=300), ys=rng.random(300))
+    xs, ys = rng.normal(size=300), rng.random(300)
+    s = Sample(xs=xs, ys=ys)
+    c0 = cfg(kernel=kernel, h=0.4, order=0)
     for x in (-0.8, 0.0, 0.4):
-        base = local_weights(s, x, cfg(kernel=kernel, h=0.4, order=0))
         for order in (0, 1, 2):
-            direct = local_weights(s, x, cfg(kernel=kernel, h=0.4, order=order))
-            other = base.at_order(order)
+            c = dataclasses.replace(c0, order=order)
+            base = local_weights(s, x, c0)
+            other = local_weights(s, x, c)
+            direct = local_weights(Sample(xs=xs, ys=ys), x, c)
+            assert other.window is base.window
             assert other.order == order
             assert np.array_equal(other.window.index, direct.window.index)
-            assert np.array_equal(other.window_weights, direct.window_weights)
-            assert other.density == direct.density
+            assert other.window_weights.tobytes() == direct.window_weights.tobytes()
+            assert other.weights.tobytes() == direct.weights.tobytes()
+            assert other.density.hex() == direct.density.hex()
     with pytest.raises(ValueError):
-        base.at_order(3)
+        dataclasses.replace(c0, order=3)
 
 
 def _reference_window(s, x, c):
@@ -741,19 +748,22 @@ def test_curve_order0_monotone_and_ends_at_one():
 
 def test_curve_evaluation_between_jumps():
     s = Sample(xs=[0.0, 0.01, -0.01], ys=[0.2, 0.5, 0.8])
-    curve = cdf_curve(s, 0.0, cfg(h=0.5, order=0))
-    assert curve.value_at(0.1) == 0.0
-    assert curve.value_at(0.2) == pytest.approx(curve.value_at(0.35))
-    assert curve.value_at(0.9) == pytest.approx(1.0)
-    vals = curve.value_at(np.array([0.1, 0.3, 0.9]))
+    c = cfg(h=0.5, order=0)
+    curve = cdf_curve(s, 0.0, c)
+    assert cdf_estimate(s, 0.0, 0.1, c) == 0.0
+    assert cdf_estimate(s, 0.0, 0.2, c) == pytest.approx(cdf_estimate(s, 0.0, 0.35, c))
+    assert cdf_estimate(s, 0.0, 0.35, c) == pytest.approx(curve.values[curve.jump_ts == 0.2].item())
+    assert cdf_estimate(s, 0.0, 0.9, c) == pytest.approx(1.0)
+    vals = cdf_band(s, [0.0], np.array([0.1, 0.3, 0.9]), c).estimate
     assert vals.shape == (3,)
+    assert vals[0] == 0.0 and vals[1:] == pytest.approx(curve.values[[0, -1]])
 
 
 def test_curve_ties_accumulate():
     s = Sample(xs=[0.0, 0.01, -0.01, 0.02], ys=[0.5, 0.5, 0.5, 0.9])
     curve = cdf_curve(s, 0.0, cfg(kernel=UNI, h=0.5, order=0))
     assert np.unique(curve.jump_ts).size == curve.jump_ts.size
-    assert curve.value_at(0.5) == pytest.approx(0.75, abs=1e-12)
+    assert curve.values[curve.jump_ts == 0.5].item() == pytest.approx(0.75, abs=1e-12)
 
 
 def reference_curve(fit, sample, monotonize):
@@ -845,7 +855,7 @@ def test_quantile_consistency_on_monotonized_curve():
     curve = cdf_curve(s, 0.0, cfg(h=0.35, order=1))
     for alpha in (0.1, 0.5, 0.9):
         q = quantile_estimate(curve, alpha)
-        assert curve.value_at(q) >= alpha
+        assert curve.values[curve.jump_ts == q].item() >= alpha
         below = curve.jump_ts < q
         if below.any():
             assert curve.values[below].max() < alpha

@@ -251,13 +251,16 @@ def test_step_sup_deviations_are_the_naive_sups_bit_for_bit():
 def test_step_sup_deviation_matches_brute_force():
     rng = np.random.default_rng(77)
     sample = draw(M1, 300, rng)
-    from condbands import cdf_curve, true_cdf
+    from condbands import cdf_band, cdf_curve, true_cdf
 
-    curve = cdf_curve(sample, 0.0, cfg(h=0.35, order=0), monotonize=False)
+    c = cfg(h=0.35, order=0)
+    curve = cdf_curve(sample, 0.0, c, monotonize=False)
     refs = true_cdf(M1, 0.0, curve.jump_ts)
     exact = step_sup_deviation(curve.values, refs)
     t_scan = np.linspace(-0.1, 1.1, 20001)
-    brute = np.abs(curve.value_at(t_scan) - true_cdf(M1, 0.0, t_scan)).max()
+    # the raw curve at every scanned t
+    scanned = cdf_band(sample, [0.0], t_scan, c, clip=False).estimate
+    brute = np.abs(scanned - true_cdf(M1, 0.0, t_scan)).max()
     assert brute <= exact + 1e-12
     assert exact - brute <= 1e-3
 
