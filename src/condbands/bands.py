@@ -193,10 +193,11 @@ def fit_grid(
                 cfg.kernel.l2_norm_sq, cfg.bandwidth, sample.n, fit.density
             )
             kept.append(reduce(x, fit, half))
-        except (InsufficientLocalData, NoCrossing, ZeroJointDensity):
+        except (InsufficientLocalData, NoCrossing, ZeroJointDensity) as exc:
             skipped.append(float(x))
+            reason = exc
     if not kept:
-        raise InsufficientLocalData("every grid location had a degenerate local fit")
+        raise InsufficientLocalData(f"every grid location was skipped; the last, x = {x}: {reason}")
     return kept, skipped
 
 

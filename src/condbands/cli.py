@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import os
 import re
@@ -22,14 +23,14 @@ import numpy as np
 from . import bands as bands_mod
 from . import experiments as exp_mod
 from .errors import CondBandsError, EmptyInput, ParseError
-from .estimator import EstimatorConfig, Sample, reference_bandwidth
+from .estimator import ORDERS, EstimatorConfig, Sample, reference_bandwidth
 from .kernels import KERNELS, get_kernel
 from .simulation import (
     MODEL_KINDS,
     draw,
-    oracle_density_provider,
     sim_model,
     true_cdf,
+    true_densities,
 )
 
 __all__ = ["ingest_csv", "parse_args", "run", "main"]
@@ -212,7 +213,7 @@ def _add_kernel_arg(sub):
     sub.add_argument("--kernel", default="epanechnikov", choices=list(KERNELS))
 
 
-def _add_fit_args(sub, orders=(0, 1, 2)):
+def _add_fit_args(sub, orders=ORDERS):
     _add_kernel_arg(sub)
     sub.add_argument("--bandwidth", type=_bandwidth_spec, default="auto", metavar="H|auto",
                      help='bandwidth in (0,1) or "auto" for n**(-1/5)')
@@ -234,7 +235,7 @@ def _add_experiment(kinds, kind: str, runner):
     return sub
 
 
-def _add_replication_args(sub, orders=(0, 1, 2)):
+def _add_replication_args(sub, orders=ORDERS):
     sub.add_argument("--n-list", type=_list_type(int, "integer"), default=(500,), metavar="N1,N2,...")
     sub.add_argument("--reps", type=int, default=100)
     sub.add_argument("--seed", type=int, default=0)
@@ -306,9 +307,8 @@ def _parser_for(command: str | None) -> argparse.ArgumentParser:
 
     if p := sub.get("experiment"):
         kinds = p.add_subparsers(dest="experiment", required=True)
-        # the centering reference exists for orders 0 and 1 only
         k = _add_experiment(kinds, "sup", _each_n(exp_mod.sup_experiment))
-        _add_replication_args(k, orders=(0, 1))
+        _add_replication_args(k, orders=exp_mod.CENTERING_ORDERS)
         k = _add_experiment(kinds, "coverage", _each_n(exp_mod.coverage_experiment, "epsilon"))
         _add_replication_args(k)
         k.add_argument("--epsilon", type=_finite_float, default=0.5)
@@ -323,7 +323,8 @@ def _parser_for(command: str | None) -> argparse.ArgumentParser:
         k = _add_experiment(kinds, "em-constant",
                             _each_n(exp_mod.em_constant_experiment, "interval"))
         _add_replication_args(k, orders=())
-        k.add_argument("--interval", type=_range_spec, default=(-1.0, 1.0), metavar="LO:HI")
+        k.add_argument("--interval", type=_range_spec, default=exp_mod.DEFAULT_INTERVAL,
+                       metavar="LO:HI")
 
     if p := sub.get("plotdata"):
         _add_source_args(p)
@@ -420,7 +421,7 @@ def _quantile(config, sample, model, cfg):
     if config.density == "oracle":
         if model is None:
             raise CondBandsError("--density oracle requires --model")
-        provider = oracle_density_provider(model)
+        provider = functools.partial(true_densities, model)
     else:
         def provider(x, y):
             return bands_mod.density_plugin(sample, x, y, cfg)

@@ -53,6 +53,8 @@ __all__ = [
 
 # A local fit whose denominator is below this in absolute value is degenerate.
 _DENOM_TOL = 1e-12
+# The local polynomial orders a fit may have.
+ORDERS = (0, 1, 2)
 
 
 def _check_open_unit(name: str, value, error=ValueError) -> float:
@@ -62,13 +64,16 @@ def _check_open_unit(name: str, value, error=ValueError) -> float:
     return float(value)
 
 
-def _check_integer(name: str, value, least: int | None = None) -> int:
-    """``value`` as a Python int; raise ValueError unless it is a non-bool integer >= ``least``."""
+def _check_integer(name: str, value, least: int | None = None, among=()) -> int:
+    """``value`` as a Python int; raise ValueError unless it is a non-bool integer >= ``least``,
+    and one of ``among`` when that lists any."""
     # a plain int skips the isinstance tests: this guards the half-width of every band location
     if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
+    if among and value not in among:
+        raise ValueError(f"{name} must be one of {', '.join(map(str, among))}, got {value}")
     return int(value)
 
 
@@ -110,13 +115,6 @@ def _check_grid(name: str, values) -> np.ndarray:
     if grid.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {grid.shape}")
     return grid
-
-
-def _check_order(order) -> int:
-    """``order`` as a Python int; raise ValueError unless it is 0, 1 or 2."""
-    if _check_integer("order", order) not in (0, 1, 2):
-        raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
-    return int(order)
 
 
 @dataclass(frozen=True)
@@ -223,7 +221,7 @@ class EstimatorConfig:
     def __post_init__(self):
         h = _check_open_unit("bandwidth", self.bandwidth, InvalidBandwidth)
         object.__setattr__(self, "bandwidth", h)
-        object.__setattr__(self, "order", _check_order(self.order))
+        object.__setattr__(self, "order", _check_integer("order", self.order, among=ORDERS))
 
 
 class KernelWindow(NamedTuple):
@@ -388,8 +386,7 @@ def local_moments(sample: Sample, x: float, cfg: EstimatorConfig, jmax: int = 2)
 
     Entry j is (1 / (n h)) * sum_i u_i^j K(u_i) with u_i = (x - X_i) / h.
     """
-    if _check_integer("jmax", jmax) not in (0, 1, 2, 3, 4):
-        raise ValueError(f"jmax must be in 0..4, got {jmax!r}")
+    _check_integer("jmax", jmax, among=range(5))
     win = kernel_window(sample, x, cfg)
     return _power_sums(win.u, win.k, jmax) / win.nh
 

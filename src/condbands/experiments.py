@@ -60,6 +60,8 @@ __all__ = [
 ]
 
 DEFAULT_INTERVAL = (-1.0, 1.0)
+# The estimator orders that have a centering.
+CENTERING_ORDERS = (0, 1)
 _QUAD_TOL = 1e-8
 
 
@@ -112,7 +114,7 @@ def centering_oracle(
     This is the data-free curve the estimator concentrates around before
     bias is removed; it is computed by adaptive quadrature.
     """
-    order = _centering_order(cfg.order if order is None else order)
+    order = _check_integer("order", cfg.order if order is None else order, among=CENTERING_ORDERS)
     kernel, h = cfg.kernel, cfg.bandwidth
     m0 = smoothed_moment(model, kernel, h, x, 0)
     r0 = smoothed_moment(model, kernel, h, x, 0, t)
@@ -177,16 +179,9 @@ def centering_curve(
     conditional laws (m1) and cross-checked against
     :func:`centering_oracle` in the tests.
     """
-    order = _centering_order(order)
+    order = _check_integer("order", order, among=CENTERING_ORDERS)
     _check_open_unit("bandwidth", h, InvalidBandwidth)
     return _centering(model, x, kernel, h, (order,))(ts)[0]
-
-
-def _centering_order(order):
-    """Reject a centering order other than 0 and 1; return it as a Python int."""
-    if _check_integer("order", order) not in (0, 1):
-        raise ValueError(f"centering is available for orders 0 and 1, got {order!r}")
-    return int(order)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +364,8 @@ def sup_experiment(
 ) -> ExperimentReport:
     """Replicated sup-deviation statistics against both references."""
     _check_experiment_args(n, reps, workers)
-    rows = _reference_rows(model, cfg, True, (_centering_order(cfg.order),))
+    order = _check_integer("order", cfg.order, among=CENTERING_ORDERS)
+    rows = _reference_rows(model, cfg, True, (order,))
     grid = _as_grid(x_grid)
     total, stoch, skipped = _replicate(
         model, n, reps, seed, lambda sample: _normalized_sups(sample, grid, cfg, rows)
@@ -463,7 +459,7 @@ def bochner_check(
     moments = {
         "density_moment_0": (0, None, fx),
         "density_moment_1": (1, None, 0.0),
-        "density_moment_2": (2, None, fx * kernel.moment(2)),
+        "density_moment_2": (2, None, fx * kernel.moments[2]),
         "response_moment_0": (0, t, fx * true_cdf(model, x, t)),
         "response_moment_1": (1, t, 0.0),
     }
@@ -520,9 +516,12 @@ def em_constant_experiment(
     _check_experiment_args(n, reps, workers)
     a, b = _check_interval("interval", interval)
     grid = _as_grid(x_grid, (a, b))
-    inf_fx = float(marginal_density(model, np.linspace(a, b, 2049)).min())
+    with np.errstate(over="ignore"):  # x * x overflows far out, where f_X is 0 anyway
+        inf_fx = float(marginal_density(model, np.linspace(a, b, 2049)).min())
+    if not inf_fx > _DENSITY_TOL:
+        raise InsufficientLocalData(f"design density {inf_fx:.3e} on [{a}, {b}] too small for a limit")
     theta = math.sqrt(cfg.kernel.l2_norm_sq) / math.sqrt(2.0 * inf_fx)
-    rows = _reference_rows(model, cfg, False, (0, 1))
+    rows = _reference_rows(model, cfg, False, CENTERING_ORDERS)
     cfg1 = replace(cfg, order=1)
 
     def stat(sample):

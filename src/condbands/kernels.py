@@ -62,12 +62,6 @@ class Kernel:
         out = self.fn(arr)
         return float(out) if arr.ndim == 0 else out
 
-    def moment(self, j: int) -> float:
-        """Raw moment of order ``j`` for j in 0..4."""
-        if isinstance(j, bool) or not isinstance(j, (int, np.integer)) or not 0 <= j <= 4:
-            raise ValueError(f"moment order must be an integer in 0..4, got {j!r}")
-        return self.moments[j]
-
 
 KERNELS = {
     "epanechnikov": Kernel(

@@ -22,7 +22,6 @@ the root seed, which never collides with the root stream itself.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -45,7 +44,6 @@ __all__ = [
     "true_regression",
     "true_densities",
     "marginal_density",
-    "oracle_density_provider",
 ]
 
 MODEL_KINDS = ("m1", "m2")
@@ -212,7 +210,3 @@ def true_densities(model: SimModel, x: float, y: float) -> DensityPair:
     fx = marginal_density(model, x)
     return DensityPair(fx=fx, fxy=fx * _conditional_density(model, x, y), source="oracle")
 
-
-def oracle_density_provider(model: SimModel):
-    """Density callback for quantile bands backed by the true densities."""
-    return functools.partial(true_densities, model)

@@ -142,7 +142,7 @@ def test_criterion_03_exact_constants():
             mom_quad, _ = scipy.integrate.quad(
                 lambda u, j=j: (u ** j) * kernel.eval(u), a, b
             )
-            worst = max(worst, abs(kernel.moment(j) - mom_quad))
+            worst = max(worst, abs(kernel.moments[j] - mom_quad))
     phi_1 = math.exp(-0.5) / math.sqrt(2.0 * math.pi)
     theta = math.sqrt(EPA.l2_norm_sq) / math.sqrt(2.0 * phi_1)
     theta_gap = abs(theta - 1.1135)

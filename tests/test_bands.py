@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import json
 import math
@@ -28,12 +29,12 @@ from condbands import (
     draw,
     get_kernel,
     local_weights,
-    oracle_density_provider,
     quantile_band,
     quantile_estimate,
     reference_bandwidth,
     regression_band,
     sim_model,
+    true_densities,
 )
 from condbands.bands import write_csv
 from condbands.cli import main
@@ -360,7 +361,7 @@ def test_quantile_band_metadata_is_exactly_its_settings():
         "n": 200, "skipped_locations": [50.0], "alpha": 0.3, "density_source": "plugin",
         "density_note": note,
     }
-    oracle = quantile_band(sample, grid, 0.3, c, oracle_density_provider(M1))
+    oracle = quantile_band(sample, grid, 0.3, c, functools.partial(true_densities, M1))
     assert oracle.metadata == {
         "kind": "quantile", "order": 1, "kernel": "epanechnikov", "bandwidth": 0.35,
         "n": 200, "skipped_locations": [50.0], "alpha": 0.3, "density_source": "oracle",
@@ -533,7 +534,7 @@ def test_cdf_and_quantile_bands_are_equivariant_in_y(seed, name, order, levels, 
 def test_quantile_band_oracle_tracks_truth():
     sample = draw(M1, 2000, 51)
     c = cfg(h=reference_bandwidth(2000))
-    table = quantile_band(sample, [0.0], 0.5, c, oracle_density_provider(M1))
+    table = quantile_band(sample, [0.0], 0.5, c, functools.partial(true_densities, M1))
     assert table.estimate[0] == pytest.approx(0.5, abs=0.1)  # median of U(0,1)
     assert table.metadata["density_source"] == "oracle"
 
@@ -543,11 +544,27 @@ def test_quantile_band_zero_joint_density():
     # quantile vanishes there: that location is skipped and recorded
     sample = draw(M2, 500, 61)
     c = cfg(h=reference_bandwidth(500))
-    table = quantile_band(sample, [-0.5, 0.0, 0.5], 0.5, c, oracle_density_provider(M2))
+    table = quantile_band(sample, [-0.5, 0.0, 0.5], 0.5, c, functools.partial(true_densities, M2))
     assert table.x.tolist() == [-0.5, 0.5]
     assert table.metadata["skipped_locations"] == [0.0]
-    with pytest.raises(InsufficientLocalData, match="every grid location"):
-        quantile_band(sample, [0.0], 0.5, c, oracle_density_provider(M2))
+    # the fit at x = 0 is sound: the error names the joint density, not the fit
+    with pytest.raises(InsufficientLocalData, match=(
+        r"^every grid location was skipped; the last, x = 0\.0: joint density 0\.0 at \(x, q\) = "
+    )):
+        quantile_band(sample, [0.0], 0.5, c, functools.partial(true_densities, M2))
+
+
+def test_an_all_skipped_grid_names_its_last_location_and_that_ones_reason():
+    sample = draw(M2, 500, 61)
+    c = cfg(h=reference_bandwidth(500))
+    oracle = functools.partial(true_densities, M2)
+    with pytest.raises(InsufficientLocalData) as fit_error:
+        local_weights(sample, 60.0, c)
+    with pytest.raises(InsufficientLocalData) as exc:
+        quantile_band(sample, [0.0, 60.0], 0.5, c, oracle)
+    assert str(exc.value) == f"every grid location was skipped; the last, x = 60.0: {fit_error.value}"
+    with pytest.raises(InsufficientLocalData, match=r"^[^:]*, x = 0\.0: joint density 0\.0 at"):
+        quantile_band(sample, [60.0, 0.0], 0.5, c, oracle)
 
 
 def test_quantile_band_skips_a_location_without_marginal_density():
@@ -597,7 +614,7 @@ def test_quantile_band_skips_a_location_whose_curve_never_reaches_alpha():
 def test_quantile_band_alpha_validation():
     sample = draw(M1, 100, 7)
     with pytest.raises(ValueError):
-        quantile_band(sample, [0.0], 0.0, cfg(), oracle_density_provider(M1))
+        quantile_band(sample, [0.0], 0.0, cfg(), functools.partial(true_densities, M1))
 
 
 def test_quantile_band_plugin_metadata_note():

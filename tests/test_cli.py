@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -768,6 +769,39 @@ def test_parsing_prints_what_the_whole_parser_prints(capsys, monkeypatch, argv):
     assert printed() == own
 
 
+# sha256 of each help text at 80 columns, as Python 3.11's argparse prints it
+HELP_DIGESTS = {
+    "-h": "d4acd41420ea6b3fcf3c334a4e3f17ecaf9d633dea01f4d7611f67706068ba05",
+    "bands -h": "ccd5c2227643cbe13c4d820a5b3065f8bf0aa6bccd2c698197eb1c3fb34aad73",
+    "experiment -h": "8ddeb4bb47406a543a71293be85a765d8fbf8efb03a1ecd9dcdeb8b4219b0f5d",
+    "experiment bochner -h": "cec2c7ee29c369c74b0d5502150120c6c87901a8058ef4b589b36a2b73bda730",
+    "experiment coverage -h": "121d369377731eade64274c8712b54b84aa783d864547923192dd91f2da5bfa3",
+    "experiment em-constant -h": "a8839c186ceac56049e6645a352fe7f4ffe2100b32c883b7b7dd4da8e1224c25",
+    "experiment sup -h": "2a4d8cda94754fb178a876f46c07a7b33628856137717a29f4f012384714f417",
+    "plotdata -h": "ddab07fb51b80232f9c62025f692ce8a7a54ca5ad8c9977e91637e549852b15e",
+    "quantile -h": "d9985497678667454de54ad43bdf0a0b7f1250a980bec48d524c544a9f04a149",
+    "regression -h": "b5223c214e4c655465029d45bfcb7adb9b465e39a40756f77c83266e0b01efd3",
+    "simulate -h": "445884aa808054a79c83f23cac3345808f50500f2a67a5ad8373cff730a387d5",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(HELP_DIGESTS))
+def test_help_texts_keep_their_bytes(capsys, monkeypatch, argv):
+    # the --order choices come from ORDERS and CENTERING_ORDERS, and the
+    # em-constant --interval default from DEFAULT_INTERVAL
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        parse_args(argv.split())
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    command = argv.removesuffix(" -h").split(" ")[-1]
+    fits = ("bands", "regression", "quantile", "plotdata", "coverage")
+    orders = ["{0,1}"] if command == "sup" else ["{0,1,2}"] if command in fits else []
+    assert re.findall(r"--order (\{[\d,]*\})", text)[:1] == orders
+    if sys.version_info[:2] == (3, 11):
+        assert hashlib.sha256(text.encode()).hexdigest() == HELP_DIGESTS[argv]
+
+
 @pytest.mark.parametrize("command", [*cli._COMMAND_HELP, "nosuch", None])
 def test_a_parser_holds_the_arguments_of_the_named_command_only(command):
     subs = next(a for a in cli._parser_for(command)._actions
@@ -849,7 +883,28 @@ def test_a_one_point_grid_may_sit_anywhere_finite(tmp_path, capsys):
     # the point reaches the library as 1e308, never NaN, and without a warning
     out = tmp_path / "o.csv"
     assert main(argv + ["--output", str(out)]) == 1
-    assert capsys.readouterr().err == "error: every grid location had a degenerate local fit\n"
+    assert capsys.readouterr().err == (
+        "error: every grid location was skipped; the last, x = 1e+308: "
+        "degenerate local linear fit at x (denominator 0.000e+00)\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    # the fit at x = 0 is sound (d0 = 0.478): m2's joint density vanishes there
+    (["quantile", "--model", "m2", "--n", "400", "--seed", "1", "--density", "oracle",
+      "--x-grid=0:0:1"],
+     "error: every grid location was skipped; the last, x = 0.0: joint density 0.0 at (x, q) = "),
+    # inf f_X underflows to 0 on the interval, which used to end in a ZeroDivisionError
+    (["experiment", "em-constant", "--model", "m1", "--interval=-40:40", "--n-list", "200",
+      "--reps", "2"],
+     "error: design density 0.000e+00 on [-40.0, 40.0] too small for a limit\n"),
+], ids=["quantile-all-skipped", "em-constant-no-design-density"])
+def test_a_run_without_a_usable_location_is_one_error_line(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert main(argv + ["--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1 and err.endswith("\n")
     assert not out.exists()
 
 

@@ -22,6 +22,7 @@ from condbands import (
     cdf_curve,
     cdf_estimate,
     centering_curve,
+    centering_oracle,
     certainty_halfwidth,
     draw,
     draw_conditional,
@@ -35,7 +36,8 @@ from condbands import (
     sim_model,
     sup_experiment,
 )
-from condbands.estimator import CdfCurve
+from condbands.estimator import ORDERS, CdfCurve, _check_integer
+from condbands.experiments import CENTERING_ORDERS
 
 EPA = get_kernel("epanechnikov")
 UNI = get_kernel("uniform")
@@ -93,6 +95,7 @@ INTEGER_ARGUMENTS = {
     "draw": ("n", lambda v: draw(M1, v, 0)),
     "draw_conditional": ("n", lambda v: draw_conditional(M1, 0.0, v, 0)),
     "centering_curve": ("order", lambda v: centering_curve(M1, 0.0, [0.5], EPA, 0.5, v)),
+    "centering_oracle": ("order", lambda v: centering_oracle(M1, 0.0, 0.5, cfg(order=0), v)),
     "sup_experiment": ("reps", lambda v: sup_experiment(M1, 50, v, cfg(order=0))),
     "reference_bandwidth": ("n", reference_bandwidth),
     "certainty_halfwidth": ("n", lambda v: certainty_halfwidth(0.6, 0.3, v, 1.0)),
@@ -107,6 +110,37 @@ def test_integer_arguments_must_be_integers(entry, value):
     name, call = INTEGER_ARGUMENTS[entry]
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
         call(value)
+
+
+# the entry points whose integer must also be one of listed values, each
+# with a value outside them and the one message form of the refusal
+CHOICE_ARGUMENTS = [
+    ("EstimatorConfig", 3, "order must be one of 0, 1, 2, got 3"),
+    ("EstimatorConfig", -1, "order must be one of 0, 1, 2, got -1"),
+    ("local_moments", 5, "jmax must be one of 0, 1, 2, 3, 4, got 5"),
+    ("centering_oracle", 2, "order must be one of 0, 1, got 2"),
+    ("centering_curve", 2, "order must be one of 0, 1, got 2"),
+    ("sup_experiment", 2, "order must be one of 0, 1, got 2"),
+]
+CHOICE_CALLS = {
+    **{entry: call for entry, (_, call) in INTEGER_ARGUMENTS.items()},
+    "sup_experiment": lambda v: sup_experiment(M1, 50, 2, cfg(order=v)),
+}
+
+
+@pytest.mark.parametrize("numpy", [False, True], ids=["int", "numpy"])
+@pytest.mark.parametrize("entry,value,message", CHOICE_ARGUMENTS)
+def test_choice_arguments_name_the_values_they_take(entry, value, message, numpy):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CHOICE_CALLS[entry](np.int64(value) if numpy else value)
+
+
+def test_the_listed_values_are_each_rules_own():
+    assert ORDERS == (0, 1, 2) and CENTERING_ORDERS == (0, 1)
+    assert all(type(_check_integer("order", np.int16(p), among=ORDERS)) is int for p in ORDERS)
+    assert type(_check_integer("jmax", np.uint8(4), among=range(5))) is int
+    assert local_moments(SMALL, 0.0, cfg(), jmax=np.uint8(4)).shape == (5,)
+    assert _check_integer("n", np.int32(7), least=1) == 7
 
 
 def test_a_numpy_integer_order_is_kept_as_an_int():

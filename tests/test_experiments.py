@@ -1,7 +1,9 @@
+import functools
 import json
 import math
 import re
 import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +30,6 @@ from condbands import (
     em_constant_experiment,
     get_kernel,
     marginal_density,
-    oracle_density_provider,
     quantile_band,
     reference_bandwidth,
     regression_band,
@@ -36,6 +37,7 @@ from condbands import (
     smoothed_moment,
     sup_experiment,
     true_cdf,
+    true_densities,
 )
 from condbands.bands import fit_grid
 from condbands.experiments import (
@@ -665,7 +667,7 @@ def test_one_true_cdf_matrix_per_location(monkeypatch):
 def test_sup_experiment_rejects_order_two_before_any_fit():
     kernel, calls = counting_kernel(EPA)
     c = EstimatorConfig(kernel=kernel, bandwidth=0.3, order=2)
-    with pytest.raises(ValueError, match="centering is available for orders 0 and 1, got 2"):
+    with pytest.raises(ValueError, match="^order must be one of 0, 1, got 2$"):
         sup_experiment(M1, 200, 2, c)
     assert calls == []
 
@@ -712,7 +714,7 @@ def test_replicated_experiments_accept_numpy_integer_counts():
 SCALAR_SETTINGS = {
     "cdf_band-epsilon": lambda v: cdf_band(draw(M1, 200, 1), [0.0], [0.5], cfg(), epsilon=v),
     "quantile_band-alpha": lambda v: quantile_band(
-        draw(M1, 200, 1), [0.0], v, cfg(), oracle_density_provider(M1)),
+        draw(M1, 200, 1), [0.0], v, cfg(), functools.partial(true_densities, M1)),
     "bandwidth": lambda v: cdf_band(draw(M1, 200, 1), [0.0], [0.5], cfg(h=v)),
     "coverage_experiment-epsilon": lambda v: coverage_experiment(M1, 200, 1, v, cfg()),
 }
@@ -796,6 +798,23 @@ def test_em_constant_matches_separate_fits_per_order():
         assert summary[f"order{order}"]["median"] == pytest.approx(np.median(stats[order]), rel=1e-12)
 
 
+@pytest.mark.parametrize("interval,density", [
+    ((-40.0, 40.0), "0.000e+00"),  # inf f_X underflows to 0: the limit divided by zero
+    ((-38.0, 38.0), "1.097e-314"),  # subnormal: the limit came out near 5e156
+    ((-1e200, 1e200), "0.000e+00"),  # x * x overflows, quietly
+], ids=["underflow", "subnormal", "overflow"])
+def test_em_constant_refuses_an_interval_without_design_density(interval, density):
+    # the bands' density tolerance, as bochner_check applies it at its x
+    kernel, calls = counting_kernel(EPA)
+    c = EstimatorConfig(kernel=kernel, bandwidth=0.3, order=0)
+    message = f"design density {density} on [{interval[0]}, {interval[1]}] too small for a limit"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InsufficientLocalData, match=f"^{re.escape(message)}$"):
+            em_constant_experiment(M1, 200, 2, c, interval=interval)
+    assert calls == []
+
+
 def test_em_constant_references():
     c0 = EstimatorConfig(kernel=EPA, bandwidth=reference_bandwidth(200), order=0)
     report = em_constant_experiment(M1, 200, 2, c0, seed=1)
@@ -804,6 +823,9 @@ def test_em_constant_references():
     cu = EstimatorConfig(kernel=UNI, bandwidth=reference_bandwidth(200), order=0)
     report_u = em_constant_experiment(M1, 200, 2, cu, seed=1)
     assert report_u.reference["value"] == pytest.approx(1.437, abs=1e-3)
+    # inf f_X over [-7, 7] is about 1e-11, just above the density tolerance
+    wide = em_constant_experiment(M1, 200, 1, c0, interval=(-7.0, 7.0), x_grid=[0.0], seed=1)
+    assert 1e5 < wide.reference["value"] < math.inf
     assert {"order0", "order1"} <= set(report.summaries[0])
     with pytest.raises(ValueError):
         em_constant_experiment(M1, 200, 2, c0, interval=(1.0, -1.0))
@@ -815,7 +837,7 @@ def test_em_constant_references():
 EMPTY_GRID_CALLS = {
     "cdf_band": lambda s, c, g: cdf_band(s, g, "jumps", c),
     "regression_band": lambda s, c, g: regression_band(s, g, c, (0.0, 1.0)),
-    "quantile_band": lambda s, c, g: quantile_band(s, g, 0.5, c, oracle_density_provider(M1)),
+    "quantile_band": lambda s, c, g: quantile_band(s, g, 0.5, c, functools.partial(true_densities, M1)),
     "sup_experiment": lambda s, c, g: sup_experiment(M1, 100, 1, c, x_grid=g),
     "coverage_experiment": lambda s, c, g: coverage_experiment(M1, 100, 1, 0.5, c, x_grid=g),
     "em_constant_experiment": lambda s, c, g: em_constant_experiment(M1, 100, 1, c, x_grid=g),

@@ -64,7 +64,7 @@ def test_l2_norm_closed_forms(name, l2):
 def test_moment_closed_forms(name, moments):
     k = get_kernel(name)
     for j, m in enumerate(moments):
-        assert k.moment(j) == pytest.approx(m, rel=1e-15, abs=1e-15)
+        assert k.moments[j] == pytest.approx(m, rel=1e-15, abs=1e-15)
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -77,7 +77,7 @@ def test_constants_against_quadrature(name):
     assert l2 == pytest.approx(k.l2_norm_sq, rel=1e-9)
     for j in range(5):
         mj, _ = quad(lambda u: u ** j * k.eval(u), a, b, epsabs=1e-12)
-        assert mj == pytest.approx(k.moment(j), rel=1e-9, abs=1e-9)
+        assert mj == pytest.approx(k.moments[j], rel=1e-9, abs=1e-9)
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -100,13 +100,3 @@ def test_nonnegative_and_array_shape(name):
     assert (vals >= 0).all()
     assert isinstance(k.eval(0.3), float)
 
-
-def test_moment_order_validation():
-    k = get_kernel("epanechnikov")
-    with pytest.raises(ValueError):
-        k.moment(5)
-    with pytest.raises(ValueError):
-        k.moment(-1)
-    for j in (True, False, 1.0):
-        with pytest.raises(ValueError, match="^moment order must be an integer in 0..4"):
-            k.moment(j)

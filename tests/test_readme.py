@@ -66,10 +66,17 @@ def test_readme_names_match_the_package():
     assert "step_sup_deviation" in names
     assert [n for n in names if not hasattr(condbands, n)] == []
 
-    # the removed names: each bullet's part before its first colon
+
+def test_removed_names_stay_removed():
+    # every `module.name` and `Class.attr` a "Removed" bullet names before
+    # its first colon is absent: no module has the name, and no class of the
+    # package (vars of it or of a base) holds the attribute
+    text = README.read_text(encoding="utf-8")
     bullets = re.findall(r"^- (.*?):\s", _section(text, r"Removed in 0\.1\.x"), re.MULTILINE | re.DOTALL)
     removed = [d for b in bullets for d in re.findall(r"`(\w+\.\w+)\W", b)]
-    assert {"experiments.band_normalized_sup", "experiments.default_x_grid", "Kernel.__call__"} <= set(removed)
+    assert {"experiments.band_normalized_sup", "experiments.default_x_grid", "Kernel.__call__",
+            "Kernel.moment", "simulation.oracle_density_provider"} <= set(removed)
     assert [d for d in removed if _resolves(d)] == []
     assert _resolves("experiments.step_sup_deviation") and _resolves("Kernel.eval")
-    assert _resolves("LocalWeights.window")
+    assert _resolves("LocalWeights.window") and _resolves("Kernel.moments")
+    assert _resolves("simulation.true_densities")
