@@ -41,7 +41,6 @@ from .estimator import (
     kernel_window,
     local_moments,
     local_weights,
-    quantile_estimate,
 )
 
 __all__ = [
@@ -74,7 +73,9 @@ class BandTable:
     """Row-wise band output plus the settings that produced it.
 
     Parallel arrays, one entry per row; ``t`` is NaN for band kinds that
-    have no response coordinate (regression, quantile).
+    have no response coordinate (regression, quantile).  ``skips`` pairs
+    each location of ``metadata["skipped_locations"]`` with the reason it
+    was skipped; the CSV and JSON outputs leave it out.
     """
 
     x: np.ndarray
@@ -84,6 +85,7 @@ class BandTable:
     lower: np.ndarray
     upper: np.ndarray
     metadata: dict = field(default_factory=dict)
+    skips: list[tuple[float, str]] = field(default_factory=list)
 
     def __len__(self) -> int:
         return self.x.size
@@ -176,14 +178,15 @@ def fit_grid(
     x_grid: Sequence[float],
     cfg: EstimatorConfig,
     reduce: Callable[[float, LocalWeights, float], object],
-) -> tuple[list, list[float]]:
+) -> tuple[list, list[tuple[float, str]]]:
     """Fit each grid location once and keep ``reduce(x, fit, L(x))``.
 
     L(x) comes from the fit's own d0(x).  Locations whose fit, half-width or
     reduction is degenerate (``InsufficientLocalData``, ``NoCrossing``,
-    ``ZeroJointDensity``) are skipped; returns the kept reductions in grid
-    order and the skipped locations.  Only the reductions are kept, not the
-    fits, so memory does not grow with the grid.
+    ``ZeroJointDensity``) are skipped; returns the kept reductions and the
+    skipped locations, each with the message of its error, in grid order.
+    Only the reductions are kept, not the fits, so memory does not grow
+    with the grid.
     """
     kept, skipped = [], []
     for x in _check_grid("x_grid", x_grid):
@@ -194,10 +197,11 @@ def fit_grid(
             )
             kept.append(reduce(x, fit, half))
         except (InsufficientLocalData, NoCrossing, ZeroJointDensity) as exc:
-            skipped.append(float(x))
-            reason = exc
+            skipped.append((float(x), str(exc)))
     if not kept:
-        raise InsufficientLocalData(f"every grid location was skipped; the last, x = {x}: {reason}")
+        raise InsufficientLocalData(
+            f"every grid location was skipped; the last, x = {x}: {skipped[-1][1]}"
+        )
     return kept, skipped
 
 
@@ -231,8 +235,8 @@ def _band_table(
     kept, skipped = fit_grid(sample, x_grid, cfg, reduce)
     del reduce  # it may hold arrays as long as the sample; free them before the columns
     meta = {"kind": kind, "order": cfg.order, "kernel": cfg.kernel.name, "bandwidth": cfg.bandwidth,
-            "n": sample.n, "skipped_locations": skipped, **settings}
-    return BandTable(*_table_columns(kept, clip), metadata=meta)
+            "n": sample.n, "skipped_locations": [x for x, _ in skipped], **settings}
+    return BandTable(*_table_columns(kept, clip), metadata=meta, skips=skipped)
 
 
 def _cdf_reduction(sample: Sample, t_grid, epsilon: float) -> Callable:
@@ -253,17 +257,18 @@ def _cdf_reduction(sample: Sample, t_grid, epsilon: float) -> Callable:
         if np.isnan(t_grid).any():
             raise ValueError("t_grid must not contain NaN")
         # Y_i <= t_(j) exactly when j >= bins[i], for the j-th smallest t, so
-        # the estimate at t_(j) is the window weight binned at 0..j; no curve
+        # the estimate at t_(j) is the window weight binned at 0..j; no curve.
+        # The bins are in X order, so a window's bins are a run of them
         t_order = np.argsort(t_grid, kind="stable")
         t_rank = np.empty(t_grid.size, dtype=np.intp)
         t_rank[t_order] = np.arange(t_grid.size)
-        bins = np.searchsorted(t_grid[t_order], sample.ys, side="left")
+        bins = np.searchsorted(t_grid[t_order], sample._ys_by_x, side="left")
 
     def block(x, fit, half_l):
         if use_jumps:
             curve = fit.curve(sample, monotonize=False)
             return x, curve.jump_ts, curve.values, widen * half_l
-        binned = np.bincount(bins[fit.window.index], fit.window_weights, minlength=t_grid.size + 1)
+        binned = np.bincount(bins[fit.window.run], fit.window_weights, minlength=t_grid.size + 1)
         return x, t_grid, np.cumsum(binned[:-1])[t_rank], widen * half_l
 
     return block
@@ -320,19 +325,21 @@ def quantile_band(
     """Quantile band q_hat(x) +/- 2 * L(x) * fx / fxy.
 
     ``densities(x, q)`` supplies the marginal/joint density pair at the
-    estimated quantile.  For alpha in (0, 1) the first point where the raw
-    curve reaches alpha is the first where its monotonized form (running
-    maximum clipped to [0, 1]) does, so inverting the raw curve gives the
-    quantile of either.  A location with a degenerate fit, a raw curve
-    that never reaches alpha, or a non-finite or non-positive density is
-    skipped and recorded in the metadata; the metadata names the density
-    source of the last kept location.
+    estimated quantile.  q is the first point where the raw curve reaches
+    alpha, which :meth:`LocalWeights.quantile` reads from the fit's running
+    weight sums without building the curve.  For alpha in (0, 1) that is
+    also the first point where the monotonized curve (running maximum
+    clipped to [0, 1]) reaches alpha, so q is the quantile of either.  A
+    location with a degenerate fit, a raw curve that never reaches alpha,
+    or a non-finite or non-positive density is skipped and recorded in the
+    metadata; the metadata names the density source of the last kept
+    location.
     """
     alpha = _check_open_unit("alpha", alpha)
     settings = {"alpha": alpha}
 
     def row(x, fit, half_l):
-        q = quantile_estimate(fit.curve(sample, monotonize=False), alpha)
+        q = fit.quantile(sample, alpha)
         pair = densities(float(x), q)
         if not (pair.fx > 0.0 and math.isfinite(pair.fx)):
             raise ZeroJointDensity(
@@ -362,7 +369,7 @@ def density_plugin(sample: Sample, x: float, y: float, cfg: EstimatorConfig) -> 
     """
     h = cfg.bandwidth
     win = kernel_window(sample, x, cfg)
-    ky = cfg.kernel.eval((y - sample.ys[win.index]) / h)
+    ky = cfg.kernel.eval((y - sample._ys_by_x[win.run]) / h)
     fx = float(win.k.sum()) / win.nh
     fxy = float((win.k * ky).sum()) / (win.nh * h)
     return DensityPair(fx=fx, fxy=fxy, source="plugin")

@@ -381,10 +381,13 @@ def _estimator_config(config: argparse.Namespace, n: int) -> EstimatorConfig:
     )
 
 
-def _note_skipped(skipped: list) -> None:
-    """Name on stderr the skipped grid locations, if any."""
-    if skipped:
-        print(f"note: skipped degenerate locations {skipped}", file=sys.stderr)
+def _note_skipped(skips: list[tuple[float, str]]) -> None:
+    """Name on stderr the skipped grid locations, one line per reason, in grid order."""
+    by_reason: dict[str, list[float]] = {}
+    for x, reason in skips:
+        by_reason.setdefault(reason, []).append(x)
+    for reason, xs in by_reason.items():
+        print(f"note: skipped locations {xs}: {reason}", file=sys.stderr)
 
 
 def _cmd_simulate(config: argparse.Namespace) -> None:
@@ -398,7 +401,7 @@ def _table_command(build):
     def command(config: argparse.Namespace) -> None:
         sample, model = _load_sample(config)
         table = build(config, sample, model, _estimator_config(config, sample.n))
-        _note_skipped(table.metadata["skipped_locations"])
+        _note_skipped(table.skips)
         if config.fmt == "json":
             with open(config.output, "w") as fh:
                 fh.write(table.to_json())

@@ -14,12 +14,14 @@ weights, hence raw distribution curves need not be monotone.
 
 Only the kernel window {i : K(u_i) > 0} contributes to these sums, so every
 fit works on the window alone (Fan & Marron, 1994).  A :class:`Sample`
-caches its X order and sorted xs; the window of x is a run of the sorted
-xs cut with ``searchsorted``, and the kernel is evaluated on that run only
-(:func:`kernel_window`).  A kernel without a support (Gaussian) runs over
-the whole sorted sample.
-:class:`LocalWeights` keeps the window's sample indices and weights and
-builds the n-long weight vector on demand.
+caches its X order and sorted xs, and its responses and their ranks in X
+order; the window of x is a run [lo, hi) of those X-sorted columns, cut
+with ``searchsorted`` and narrowed to K > 0, and the kernel is evaluated
+on that run only (:func:`kernel_window`).  A kernel without a support
+(Gaussian) runs over the whole sorted sample.
+:class:`LocalWeights` keeps the window's run and weights; its curve,
+quantile and regression estimate slice the run, and it builds the n-long
+weight vector on demand.
 """
 
 from __future__ import annotations
@@ -162,10 +164,15 @@ class Sample:
         return _read_only(self.xs[self.x_order])
 
     @cached_property
-    def y_rank(self) -> np.ndarray:
-        """Position of each response in a stable sort of ``ys`` (read-only).
+    def _ys_by_x(self) -> np.ndarray:
+        """``ys`` in X order, ``ys[x_order]`` (read-only); a window's responses are a run of it."""
+        return _read_only(self.ys[self.x_order])
 
-        Ranks are distinct, so ordering any subset by rank orders it by
+    @cached_property
+    def _y_rank_by_x(self) -> np.ndarray:
+        """Position of each response in a stable sort of ``ys``, in X order (read-only).
+
+        Ranks are distinct, so ordering any run by rank orders it by
         response and ties by sample index.  They are ``uint16`` up to
         2**16 observations, which lets :meth:`LocalWeights.curve` radix-sort
         them, and ``intp`` beyond.
@@ -173,7 +180,7 @@ class Sample:
         dtype = np.uint16 if self.n <= _RADIX_RANKS else np.intp
         rank = np.empty(self.n, dtype=dtype)
         rank[_stable_argsort(self.ys)] = np.arange(self.n, dtype=dtype)
-        return _read_only(rank)
+        return _read_only(rank[self.x_order])
 
     @cached_property
     def y_range(self) -> tuple[float, float]:
@@ -227,21 +234,24 @@ class EstimatorConfig:
 class KernelWindow(NamedTuple):
     """The observations with K(u_i) > 0 for a fit at x.
 
-    ``index`` holds their sample positions, ``u`` and ``k`` their scaled
-    distances and kernel values, and ``nh`` is the normalizer n * h.
+    They are the run ``run`` = slice(lo, hi) of the sample's X-sorted
+    columns.  ``index`` holds their sample positions, ``x_order[lo:hi]``,
+    ``u`` and ``k`` their scaled distances and kernel values, all three read
+    in X order, and ``nh`` is the normalizer n * h.
     """
 
     index: np.ndarray
     u: np.ndarray
     k: np.ndarray
     nh: float
+    run: slice
 
 
 @dataclass(frozen=True)
 class LocalWeights:
     """Weights of the local fit at ``x`` on its kernel window.
 
-    ``window.index`` lists the observations with K(u_i) > 0, in X order,
+    ``window`` is the run of observations with K(u_i) > 0, in X order,
     and ``window_weights`` their weights; every other observation has weight
     exactly 0.  The weights sum to one, and for order >= 1 they are
     orthogonal to u.  ``weights`` builds the n-long weight vector on demand.
@@ -263,6 +273,14 @@ class LocalWeights:
         w[self.window.index] = self.window_weights
         return w
 
+    def _response_order(self, sample: Sample) -> np.ndarray:
+        """The permutation that orders the window by response, ties by sample index."""
+        # the ranks are distinct, so every sort gives the same permutation;
+        # numpy's stable sort is a radix sort on 16-bit keys, and its default
+        # sort is the quicker one on wider keys
+        keys = sample._y_rank_by_x[self.window.run]
+        return np.argsort(keys, kind="stable" if keys.itemsize <= 2 else "quicksort")
+
     def curve(self, sample: Sample, monotonize: bool = True) -> CdfCurve:
         """Estimated conditional distribution curve of this fit.
 
@@ -270,18 +288,11 @@ class LocalWeights:
         clipped to [0, 1]; the raw curve keeps whatever the weights produce,
         which is the form the band theory applies to.
         """
-        index = self.window.index
-        m = index.size
-        # by response, ties by sample index: a stable sort of ys[index] when
-        # index is increasing, whatever order index is in.  The ranks are
-        # distinct, so every sort gives the same permutation; numpy's stable
-        # sort is a radix sort on 16-bit keys, and its default sort is the
-        # quicker one on wider keys.
-        keys = sample.y_rank[index]
-        order = np.argsort(keys, kind="stable" if keys.itemsize <= 2 else "quicksort")
+        order = self._response_order(sample)
+        m = order.size
         ys_ext = np.empty(m + 2)
         ys_ext[0], ys_ext[-1] = sample.y_range
-        np.take(sample.ys, index[order], out=ys_ext[1:-1])
+        np.take(sample._ys_by_x[self.window.run], order, out=ys_ext[1:-1])
         # weight up to each entry of ys_ext: none at ymin, all of it at ymax
         cum = np.empty(m + 2)
         cum[0] = cum[-1] = 0.0
@@ -303,9 +314,38 @@ class LocalWeights:
             monotonized=monotonize,
         )
 
+    def quantile(self, sample: Sample, alpha: float) -> float:
+        """``quantile_estimate(self.curve(sample, monotonize=False), alpha)``, without the curve.
+
+        The running weight sums by response have the raw curve's bits at
+        every jump, since the curve's leading 0.0 adds exactly.  Its ymin
+        end, 0, never reaches alpha, and its ymax end repeats the last sum,
+        so the curve first reaches alpha at the first response that ends a
+        run of equal ones (the next one differs, or there is none) with a
+        sum >= alpha.  A last run equal to the largest response ends at the
+        ymax end instead, whose bits it takes: -0.0 == 0.0.
+        """
+        _check_open_unit("alpha", alpha)
+        order = self._response_order(sample)
+        cum = np.take(self.window_weights, order)
+        np.cumsum(cum, out=cum)
+        reach = cum >= alpha
+        ys = sample._ys_by_x[self.window.run]
+        first = int(reach.argmax()) if reach.size else 0
+        # the first sum to reach alpha ends a run unless the next response ties
+        # with it; only then look for run ends, from there on
+        if first + 1 < reach.size and ys[order[first]] == ys[order[first + 1]]:
+            tail = ys[order[first:]]
+            reach[first:-1] &= tail[1:] != tail[:-1]
+            first += int(reach[first:].argmax())
+        if not (reach.size and reach[first]):
+            raise NoCrossing(f"curve never reaches level {alpha}")
+        q, ymax = float(ys[order[first]]), sample.y_range[1]
+        return ymax if first + 1 == reach.size and q == ymax else q
+
     def regression(self, sample: Sample) -> float:
         """Local polynomial estimate of E[Y | X = x], i.e. sum_i w_i Y_i."""
-        return float(self.window_weights @ sample.ys[self.window.index])
+        return float(self.window_weights @ sample._ys_by_x[self.window.run])
 
 
 @dataclass(frozen=True)
@@ -353,18 +393,21 @@ def kernel_window(sample: Sample, x: float, cfg: EstimatorConfig) -> KernelWindo
         return slot[2]
     a, b = cfg.kernel.support or (-math.inf, math.inf)
     pad = 16.0 * _EPS * (abs(x) + h * max(-a, b))
-    lo, hi = sample.xs_sorted.searchsorted((x - b * h - pad, x - a * h + pad))
-    index = sample.x_order[lo:hi]
+    lo, hi = sample.xs_sorted.searchsorted((x - b * h - pad, x - a * h + pad)).tolist()
     u = x - sample.xs_sorted[lo:hi]
     u /= h
     k = cfg.kernel.eval(u)
     # u is monotone over the sorted candidates and every kernel is positive
-    # on one interval, so K > 0 at both ends means K > 0 throughout
+    # on one interval, so K > 0 holds on one run of them: narrow the run to
+    # it, which K > 0 at both ends leaves whole
     if k.size > 0 and not (k[0] > 0.0 and k[-1] > 0.0):
         keep = k > 0.0
-        if not keep.all():
-            index, u, k = index[keep], u[keep], k[keep]
-    win = KernelWindow(_read_only(index), _read_only(u), _read_only(k), sample.n * h)
+        first = int(keep.argmax())
+        stop = k.size - int(keep[::-1].argmax()) if keep[first] else first
+        u, k = u[first:stop], k[first:stop]
+        lo, hi = lo + first, lo + stop
+    run = slice(lo, hi)
+    win = KernelWindow(sample.x_order[run], _read_only(u), _read_only(k), sample.n * h, run)
     vars(sample)["_window_slot"] = (key, cfg.kernel, win)
     return win
 
@@ -447,7 +490,7 @@ def local_weights(sample: Sample, x: float, cfg: EstimatorConfig) -> LocalWeight
 def cdf_estimate(sample: Sample, x: float, t: float, cfg: EstimatorConfig) -> float:
     """Point estimate of P(Y <= t | X = x) at the configured order."""
     fit = local_weights(sample, x, cfg)
-    return float(fit.window_weights[sample.ys[fit.window.index] <= t].sum())
+    return float(fit.window_weights[sample._ys_by_x[fit.window.run] <= t].sum())
 
 
 def cdf_curve(

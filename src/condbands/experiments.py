@@ -29,7 +29,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-from contextlib import suppress
 from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
@@ -525,13 +524,17 @@ def em_constant_experiment(
     cfg1 = replace(cfg, order=1)
 
     def stat(sample):
+        order1_skips = []
+
         def deviations(x, fit, half):
             # the order-1 fit reuses the order-0 window, from the sample's window
             # slot; it is skipped alone where it is degenerate, while a location
             # degenerate at order 0 has d0(x) too small for a band at either order
             curves = [fit.curve(sample, monotonize=False)]
-            with suppress(InsufficientLocalData):
+            try:
                 curves.append(local_weights(sample, x, cfg1).curve(sample, monotonize=False))
+            except InsufficientLocalData as exc:
+                order1_skips.append((x, exc))
             values = np.array([c.values for c in curves])
             refs = rows(x, curves[0].jump_ts)[: len(curves)]
             return _step_sup_deviations(values, refs).tolist()
@@ -539,7 +542,10 @@ def em_constant_experiment(
         kept, skipped = fit_grid(sample, grid, replace(cfg, order=0), deviations)
         devs1 = [d[1] for d in kept if len(d) == 2]
         if not devs1:
-            raise InsufficientLocalData("every grid location had a degenerate local fit")
+            x, reason = order1_skips[-1]
+            raise InsufficientLocalData(
+                f"every grid location had a degenerate order-1 fit; the last, x = {x}: {reason}"
+            )
         scale = _sup_scale(sample.n, cfg.bandwidth)
         return (
             scale * max(d[0] for d in kept),

@@ -611,6 +611,20 @@ def test_quantile_band_skips_a_location_whose_curve_never_reaches_alpha():
             quantile_estimate(cdf_curve(sample, x, c, monotonize=False), alpha)
 
 
+def test_quantile_band_builds_no_curve(monkeypatch):
+    # the band reads each crossing from the fit's running weight sums
+    sample = draw(M2, 400, 5)
+    grid = np.linspace(-1.5, 1.5, 13)
+    for order in (0, 1, 2):
+        c = cfg(h=0.3, order=order)
+        want = quantile_band(sample, grid, 0.3, c, lambda x, q: density_plugin(sample, x, q, c))
+        with monkeypatch.context() as patch:
+            patch.setattr(LocalWeights, "curve", None)
+            got = quantile_band(sample, grid, 0.3, c, lambda x, q: density_plugin(sample, x, q, c))
+        assert got.to_json() == want.to_json()
+        assert got.skips == want.skips
+
+
 def test_quantile_band_alpha_validation():
     sample = draw(M1, 100, 7)
     with pytest.raises(ValueError):

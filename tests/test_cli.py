@@ -351,9 +351,28 @@ def test_quantile_skips_a_location_whose_curve_never_reaches_alpha(tmp_path, cap
                  "--output", str(out)]) == 0
     rows = out.read_text().strip().splitlines()[1:]
     err = capsys.readouterr().err
-    assert err.startswith("note: skipped degenerate locations [")
-    skipped = err[err.index("[") + 1 : err.index("]")].split(", ")
+    prefix, suffix = "note: skipped locations [", "]: curve never reaches level 0.9999999999999999"
+    assert err.startswith(prefix) and err.endswith(suffix + "\n") and err.count("\n") == 1
+    skipped = err[len(prefix) : -len(suffix) - 1].split(", ")
     assert rows and len(rows) + len(skipped) == 41
+
+
+def test_quantile_skip_note_names_each_reason(tmp_path, capsys):
+    # the fit at 0 is sound there; m2's joint density at the quantile is 0
+    out = tmp_path / "q.csv"
+    assert main(["quantile", "--model", "m2", "--n", "400", "--seed", "3", "--density", "oracle",
+                 "--output", str(out)]) == 0
+    assert re.fullmatch(r"note: skipped locations \[0\.0\]: joint density 0\.0 at \(x, q\) = "
+                        r"\(0\.0, \S+\) is not finite above tolerance\n", capsys.readouterr().err)
+    assert main(["quantile", "--model", "m2", "--n", "400", "--seed", "3", "--density", "oracle",
+                 "--x-grid=-6:0:3", "--format", "json", "--output", str(out)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == (
+        "note: skipped locations [-6.0]: degenerate local linear fit at x (denominator 0.000e+00)"
+    )
+    assert err[1].startswith("note: skipped locations [0.0]: joint density 0.0 at (x, q) = (0.0, ")
+    assert len(err) == 2
+    assert json.loads(out.read_text())["metadata"]["skipped_locations"] == [-6.0, 0.0]
 
 
 def test_quantile_oracle_density_requires_a_model(tmp_path, capsys):
@@ -619,7 +638,9 @@ def test_table_command_bytes_are_pinned(tmp_path, capsys, case):
                  "--order", "0", "--bandwidth", "0.5", "--x-grid=-3:3:7",
                  "--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
-    assert capsys.readouterr() == ("", "note: skipped degenerate locations [3.0]\n")
+    assert capsys.readouterr() == (
+        "", "note: skipped locations [3.0]: no kernel mass near x (order 0 denominator 0.000e+00)\n"
+    )
 
 
 def test_plotdata_file_input_has_no_truth(tmp_path):
@@ -641,7 +662,7 @@ def test_plotdata_skips_degenerate_locations(tmp_path, capsys):
     xs = {row.split(",")[0] for row in out.read_text().strip().splitlines()[1:]}
     assert xs == {"0.0"}
     err = capsys.readouterr().err
-    assert "note: skipped degenerate locations [-6.0, -3.0, 3.0, 6.0]" in err
+    assert "note: skipped locations [-6.0, -3.0, 3.0, 6.0]: degenerate local linear fit at x" in err
     assert main(["plotdata", "--model", "m1", "--n", "200", "--x-grid=5:6:2",
                  "--output", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
@@ -659,7 +680,10 @@ def test_table_commands_note_skipped_locations(tmp_path, capsys, argv):
     out = tmp_path / "out"
     assert main(argv + ["--model", "m1", "--n", "300", "--x-grid=-4:4:5",
                         "--output", str(out)]) == 0
-    assert capsys.readouterr().err == "note: skipped degenerate locations [-4.0, 4.0]\n"
+    assert capsys.readouterr().err == (
+        "note: skipped locations [-4.0, 4.0]: "
+        "degenerate local linear fit at x (denominator 0.000e+00)\n"
+    )
 
 
 def test_parse_args_round_trip():

@@ -21,6 +21,7 @@ from condbands import (
     cdf_band,
     cdf_curve,
     cdf_estimate,
+    density_plugin,
     centering_curve,
     centering_oracle,
     certainty_halfwidth,
@@ -531,6 +532,40 @@ def test_fit_keeps_the_bits_where_a_window_end_has_zero_kernel(kernel, order):
     assert dropped == 6
 
 
+@pytest.mark.parametrize("kernel, h, offsets", [
+    (EPA, 0.25, (-0.25, 0.25)),  # X = x -+ h: u = +-1, where K = 0
+    (UNI, 0.25, (-0.125, 0.125)),  # X = x - h/2: u = +1/2, where K = 0; x + h/2 is kept
+    (GAU, 0.05, (-3.0, -2.0, -1.9, 1.9, 2.0, 3.0)),  # K underflows to 0 past |u| = 38.6
+], ids=lambda v: v.name if hasattr(v, "name") else None)
+def test_a_trimmed_window_is_a_run_of_the_x_order(kernel, h, offsets):
+    # the window narrows its candidate run to K > 0 instead of masking it:
+    # its index is x_order over the run, its u and k have the bits of the
+    # masked copy, and the readers that slice the run give what gathering
+    # by index gives
+    rng = np.random.default_rng(12)
+    for x in (0.0, 0.25, -0.5):
+        xs = np.concatenate([rng.normal(scale=0.3, size=60), x + np.repeat(offsets, 2)])
+        ys = rng.integers(0, 9, xs.size) / 8.0
+        ys[ys == 0.5] = -0.0  # beside the 0.0 responses
+        s = Sample(xs=xs, ys=ys)
+        c = cfg(kernel=kernel, h=h, order=1)
+        index, u, k, dropped = _reference_window(s, x, c)
+        assert dropped
+        win = kernel_window(s, x, c)
+        assert win.run.step is None and 0 <= win.run.start <= win.run.stop <= s.n
+        assert np.array_equal(win.index, s.x_order[win.run])
+        assert win.index.tobytes() == index.tobytes()
+        assert win.u.tobytes() == u.tobytes() and win.k.tobytes() == k.tobytes()
+        assert (win.k > 0.0).all()
+        fit = local_weights(s, x, c)
+        ys = s.ys[index]
+        assert fit.regression(s).hex() == float(fit.window_weights @ ys).hex()
+        for t in (-0.0, 0.25, 0.5, 1.0):
+            assert cdf_estimate(s, x, t, c).hex() == float(fit.window_weights[ys <= t].sum()).hex()
+        fxy = float((k * kernel.eval((0.5 - ys) / h)).sum()) / (s.n * h * h)
+        assert density_plugin(s, x, 0.5, c).fxy.hex() == fxy.hex()
+
+
 def test_kernel_window_repeats_come_from_the_sample_slot():
     rng = np.random.default_rng(4)
     s = Sample(xs=rng.normal(size=200), ys=rng.random(200))
@@ -563,9 +598,11 @@ def test_sample_caches_are_read_only_and_outside_equality():
     s = Sample(xs=xs, ys=ys)
     assert s.x_order.tolist() == [1, 3, 0, 2]
     assert s.xs_sorted.tolist() == [-0.1, 0.0, 0.3, 0.3]
-    assert s.y_rank.tolist() == [2, 0, 1, 3]
+    # the sample-order ranks [2, 0, 1, 3], read in X order
+    assert s._y_rank_by_x.tolist() == [0, 3, 2, 1]
+    assert s._ys_by_x.tolist() == [0.2, 0.9, 0.5, 0.2]
     assert s.y_range == (0.2, 0.9)
-    for arr in (s.x_order, s.xs_sorted, s.y_rank):
+    for arr in (s.x_order, s.xs_sorted, s._y_rank_by_x, s._ys_by_x):
         with pytest.raises(ValueError):
             arr[0] = 0
     assert [f.name for f in dataclasses.fields(s)] == ["xs", "ys"]
@@ -579,7 +616,7 @@ def test_sample_caches_are_read_only_and_outside_equality():
 ], ids=["pickle", "copy", "deepcopy"])
 def test_sample_copies_stay_read_only_without_caches(clone):
     s = Sample(xs=[0.3, -0.1, 0.3, 0.0], ys=[0.5, 0.2, 0.2, 0.9])
-    _ = s.x_order, s.xs_sorted, s.y_rank, s.y_range  # fill the caches first
+    _ = s.x_order, s.xs_sorted, s._y_rank_by_x, s.y_range  # fill the caches first
     kernel_window(s, 0.1, cfg())  # and the window slot
     assert len(vars(s)) == 7
     c = clone(s)
@@ -587,9 +624,9 @@ def test_sample_copies_stay_read_only_without_caches(clone):
     assert np.array_equal(c.xs, s.xs) and np.array_equal(c.ys, s.ys)
     assert not c.xs.flags.writeable and not c.ys.flags.writeable
     assert set(vars(c)) == {"xs", "ys"}
-    for arr in (c.x_order, c.xs_sorted, c.y_rank):
+    for arr in (c.x_order, c.xs_sorted, c._y_rank_by_x, c._ys_by_x):
         assert not arr.flags.writeable
-    assert c.y_rank.tolist() == s.y_rank.tolist()
+    assert c._y_rank_by_x.tolist() == s._y_rank_by_x.tolist()
 
 
 def test_sample_caches_computed_from_many_threads_agree():
@@ -640,15 +677,18 @@ def _columns(n, case):
 def test_sample_orders_are_the_stable_argsort(n, case):
     # the default sort may order equal values any way, so ties, -0.0 == 0.0
     # among them, must still give the stable order; up to 2**16 points the
-    # ranks are uint16, beyond that intp
+    # ranks are uint16, beyond that intp.  The responses and their ranks are
+    # kept in X order
     xs, ys = _columns(n, case)
     s = Sample(xs=xs, ys=ys)
-    assert np.array_equal(s.x_order, np.argsort(xs, kind="stable"))
-    assert s.xs_sorted.tobytes() == xs[np.argsort(xs, kind="stable")].tobytes()
+    x_order = np.argsort(xs, kind="stable")
+    assert np.array_equal(s.x_order, x_order)
+    assert s.xs_sorted.tobytes() == xs[x_order].tobytes()
+    assert s._ys_by_x.tobytes() == ys[x_order].tobytes()
     rank = np.empty(n, dtype=np.intp)
     rank[np.argsort(ys, kind="stable")] = np.arange(n)
-    assert np.array_equal(s.y_rank, rank)
-    assert s.y_rank.dtype == (np.uint16 if n <= 1 << 16 else np.intp)
+    assert np.array_equal(s._y_rank_by_x, rank[x_order])
+    assert s._y_rank_by_x.dtype == (np.uint16 if n <= 1 << 16 else np.intp)
 
 
 # ---------------------------------------------------------------------------
@@ -830,7 +870,7 @@ def test_curve_is_the_concatenating_builder_bit_for_bit(kernel, order):
         ys[:5] = ys.min()
         ys[5:10] = -0.0
         s = Sample(xs=xs, ys=ys)
-        assert s.y_rank.dtype == rank_dtype
+        assert s._y_rank_by_x.dtype == rank_dtype
         for x in np.linspace(-1.5, 1.5, 13):
             fit = local_weights(s, x, cfg(kernel=kernel, h=0.3, order=order))
             for monotonize in (False, True):
@@ -839,6 +879,57 @@ def test_curve_is_the_concatenating_builder_bit_for_bit(kernel, order):
                 assert curve.jump_ts.tobytes() == jump_ts.tobytes()
                 assert curve.values.tobytes() == values.tobytes()
                 assert curve.monotonized is monotonize and curve.order == order
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kernel=st.sampled_from([EPA, UNI, GAU]),
+    order=st.sampled_from([0, 1, 2]),
+    h=st.sampled_from([0.2, 0.5, 0.9]),
+    x=st.one_of(st.sampled_from([0.0, -1.0, 1.0]), st.floats(-1.5, 1.5)),
+    n=st.integers(2, 60),
+    levels=st.sampled_from([2, 3, 9, None]),
+    extreme=st.sampled_from(["min", "max", None]),
+    data=st.data(),
+)
+def test_quantile_is_the_raw_curves_first_crossing(
+    seed, kernel, order, h, x, n, levels, extreme, data
+):
+    # the fit reads the crossing from its running weight sums: bit for bit the
+    # raw curve's quantile, or NoCrossing for both.  Responses on a few levels
+    # tie, with -0.0 and 0.0 mixed at zero; the observation nearest to x may
+    # hold the sample's smallest or largest response; alpha may be one of
+    # the curve's own values, a partial sum inside a run of ties, or any level
+    rng = np.random.default_rng(seed)
+    xs = rng.normal(size=n)
+    if levels is None:
+        ys = rng.normal(size=n)
+    else:
+        ys = rng.integers(-(levels // 2), levels - levels // 2, n) / 2.0
+        ys[ys == 0.0] = rng.choice([-0.0, 0.0], int(np.count_nonzero(ys == 0.0)))
+    if extreme is not None:
+        near = int(np.argmin(np.abs(xs - x)))
+        ys[near] = ys.min() if extreme == "min" else ys.max()
+    s = Sample(xs=xs, ys=ys)
+    try:
+        fit = local_weights(s, x, cfg(kernel=kernel, h=h, order=order))
+    except InsufficientLocalData:
+        return
+    curve = fit.curve(s, monotonize=False)
+    partial = np.cumsum(fit.window_weights[np.lexsort((fit.window.index, s.ys[fit.window.index]))])
+    levels_in = [float(v) for v in np.concatenate([curve.values, partial]) if 0.0 < v < 1.0]
+    alpha = data.draw(
+        st.sampled_from(levels_in) if levels_in and data.draw(st.booleans())
+        else st.floats(1e-9, 1.0 - 1e-9)
+    )
+    try:
+        want = quantile_estimate(curve, alpha)
+    except NoCrossing:
+        with pytest.raises(NoCrossing):
+            fit.quantile(s, alpha)
+        return
+    assert fit.quantile(s, alpha).hex() == want.hex()
 
 
 def test_raw_curve_can_overshoot_and_monotonize_fixes_it():

@@ -772,8 +772,13 @@ def test_em_constant_needs_a_location_with_a_linear_fit():
     top, second = np.sort(sample.xs)[::-1][:2]
     c = cfg(UNI, h=min(0.5, (top - second) / 2.0), order=0)
     assert fit_grid(sample, [top], c, lambda x, fit, half: x) == ([top], [])
-    with pytest.raises(InsufficientLocalData, match="every grid location"):
+    with pytest.raises(InsufficientLocalData, match="every grid location") as exc:
         em_constant_experiment(M1, 20, 1, c, x_grid=[top], seed=3)
+    # the message names the order and the last location, as fit_grid's does
+    assert str(exc.value) == (
+        f"every grid location had a degenerate order-1 fit; the last, x = {top}: "
+        "degenerate local linear fit at x (denominator 0.000e+00)"
+    )
 
 
 def test_em_constant_matches_separate_fits_per_order():
