@@ -152,19 +152,33 @@ def certainty_halfwidth(
     l2_norm_sq: float, bandwidth: float, n: int, density_at_x: float
 ) -> float:
     """The half-width formula on raw inputs; validates h, n, |K|_2^2 and the density."""
+    return _halfwidth_rule(l2_norm_sq, bandwidth, n)(density_at_x)
+
+
+def _halfwidth_rule(l2_norm_sq: float, bandwidth: float, n: int) -> Callable[[float], float]:
+    """L as a function of the design density d0(x), for h, n and |K|_2^2 validated here, once.
+
+    The numerator |K|_2^2 log(1/h) and the factor 2 n h are taken once; L(d0)
+    is sqrt(num / (2nh * d0)), which has the bits of the formula written out,
+    as Python evaluates it left to right.
+    """
     _check_open_unit("bandwidth", bandwidth, InvalidBandwidth)
     if _check_integer("n", n, least=1) > _N_MAX:
         raise ValueError(f"n must be at most {_N_MAX:.4g}, got a {int(n).bit_length()}-bit integer")
     if not 0.0 < l2_norm_sq < math.inf:
         raise ValueError(f"l2_norm_sq must be positive and finite, got {l2_norm_sq!r}")
-    if not density_at_x > _DENSITY_TOL:
-        raise InsufficientLocalData(
-            f"design density estimate {density_at_x:.3e} too small for a band"
-        )
-    if density_at_x == math.inf:
-        raise ValueError(f"density_at_x must be finite, got {density_at_x!r}")
-    log_inv_h = math.log(1.0 / bandwidth)
-    return math.sqrt(l2_norm_sq * log_inv_h / (2.0 * n * bandwidth * density_at_x))
+    num, two_nh = l2_norm_sq * math.log(1.0 / bandwidth), 2.0 * n * bandwidth
+
+    def halfwidth(density_at_x: float) -> float:
+        if not density_at_x > _DENSITY_TOL:
+            raise InsufficientLocalData(
+                f"design density estimate {density_at_x:.3e} too small for a band"
+            )
+        if density_at_x == math.inf:
+            raise ValueError(f"density_at_x must be finite, got {density_at_x!r}")
+        return math.sqrt(num / (two_nh * density_at_x))
+
+    return halfwidth
 
 
 def band_halfwidth(sample: Sample, x: float, cfg: EstimatorConfig) -> float:
@@ -189,13 +203,12 @@ def fit_grid(
     with the grid.
     """
     kept, skipped = [], []
-    for x in _check_grid("x_grid", x_grid):
+    grid = _check_grid("x_grid", x_grid)
+    halfwidth = _halfwidth_rule(cfg.kernel.l2_norm_sq, cfg.bandwidth, sample.n)
+    for x in grid:
         try:
             fit = local_weights(sample, x, cfg)
-            half = certainty_halfwidth(
-                cfg.kernel.l2_norm_sq, cfg.bandwidth, sample.n, fit.density
-            )
-            kept.append(reduce(x, fit, half))
+            kept.append(reduce(x, fit, halfwidth(fit.density)))
         except (InsufficientLocalData, NoCrossing, ZeroJointDensity) as exc:
             skipped.append((float(x), str(exc)))
     if not kept:
@@ -211,10 +224,13 @@ def _table_columns(rows: list, clip: bool = False) -> tuple[np.ndarray, ...]:
     x and the half-width repeat over each row's t and estimate (scalars or
     equal-length arrays).  ``rows`` is emptied once copied: the table is held once.
     """
-    sizes = [np.size(row[1]) for row in rows]
-    x = np.repeat([row[0] for row in rows], sizes)
-    halfwidth = np.repeat([row[3] for row in rows], sizes)
-    t, estimate = (np.concatenate([np.atleast_1d(row[k]) for row in rows]) for k in (1, 2))
+    if np.ndim(rows[0][1]) == 0:  # one row per location
+        x, t, estimate, halfwidth = np.array(rows, dtype=float).T.copy()
+    else:
+        sizes = [np.size(row[1]) for row in rows]
+        x = np.repeat([row[0] for row in rows], sizes)
+        halfwidth = np.repeat([row[3] for row in rows], sizes)
+        t, estimate = (np.concatenate([np.atleast_1d(row[k]) for row in rows]) for k in (1, 2))
     rows.clear()
     lower, upper = estimate - halfwidth, estimate + halfwidth
     if clip:
@@ -369,7 +385,12 @@ def density_plugin(sample: Sample, x: float, y: float, cfg: EstimatorConfig) -> 
     """
     h = cfg.bandwidth
     win = kernel_window(sample, x, cfg)
-    ky = cfg.kernel.eval((y - sample._ys_by_x[win.run]) / h)
+    # the responses are not cut to a window, so a far one's (y - Y) / h may
+    # overflow, or its square in K, to inf, where K is 0 as it should be
+    with np.errstate(over="ignore"):
+        u = y - sample._ys_by_x[win.run]
+        u /= h
+        ky = cfg.kernel.eval(u)
     fx = float(win.k.sum()) / win.nh
     fxy = float((win.k * ky).sum()) / (win.nh * h)
     return DensityPair(fx=fx, fxy=fxy, source="plugin")

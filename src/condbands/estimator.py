@@ -26,6 +26,7 @@ weight vector on demand.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -367,6 +368,7 @@ class CdfCurve:
 
 
 _EPS = np.finfo(float).eps
+_AS_IS = contextlib.nullcontext()  # the floating-point error state left as it is
 
 
 def kernel_window(sample: Sample, x: float, cfg: EstimatorConfig) -> KernelWindow:
@@ -394,9 +396,12 @@ def kernel_window(sample: Sample, x: float, cfg: EstimatorConfig) -> KernelWindo
     a, b = cfg.kernel.support or (-math.inf, math.inf)
     pad = 16.0 * _EPS * (abs(x) + h * max(-a, b))
     lo, hi = sample.xs_sorted.searchsorted((x - b * h - pad, x - a * h + pad)).tolist()
-    u = x - sample.xs_sorted[lo:hi]
-    u /= h
-    k = cfg.kernel.eval(u)
+    # without a support every X is evaluated, and a far one's u u may
+    # overflow to inf, where K is 0 as it should be
+    with np.errstate(over="ignore") if a == -math.inf else _AS_IS:
+        u = x - sample.xs_sorted[lo:hi]
+        u /= h
+        k = cfg.kernel.eval(u)
     # u is monotone over the sorted candidates and every kernel is positive
     # on one interval, so K > 0 holds on one run of them: narrow the run to
     # it, which K > 0 at both ends leaves whole
@@ -414,6 +419,16 @@ def kernel_window(sample: Sample, x: float, cfg: EstimatorConfig) -> KernelWindo
 
 def _power_sums(u, k, jmax):
     """sum_i u_i^j K(u_i) for j = 0..jmax."""
+    if jmax <= 2:
+        # the sums an order 0 or 1 fit needs, with the loop's operands: (u u) K
+        sums = [np.add.reduce(k)]
+        if jmax:
+            sums.append(np.add.reduce(u * k))
+        if jmax == 2:
+            uuk = u * u
+            uuk *= k
+            sums.append(np.add.reduce(uuk))
+        return np.array(sums)
     out = np.empty(jmax + 1)
     out[0] = np.add.reduce(k)
     uj = u
@@ -436,22 +451,25 @@ def local_moments(sample: Sample, x: float, cfg: EstimatorConfig, jmax: int = 2)
 
 def _weight_vector(u, k, nh, order, sums):
     """Raw weight vector of ``order`` from the power sums; raises on degenerate fits."""
-    m = [float(s) / nh for s in sums]
     if order == 0:
-        if abs(m[0]) < _DENOM_TOL:
+        s0 = float(sums[0])
+        if abs(s0 / nh) < _DENOM_TOL:
             raise InsufficientLocalData(
-                f"no kernel mass near x (order 0 denominator {m[0]:.3e})"
+                f"no kernel mass near x (order 0 denominator {s0 / nh:.3e})"
             )
-        return k / float(sums[0])
+        return k / s0
     if order == 1:
-        denom = m[0] * m[2] - m[1] ** 2
+        s0, s1, s2 = sums.tolist()
+        m1, m2 = s1 / nh, s2 / nh
+        denom = s0 / nh * m2 - m1 ** 2
         if abs(denom) < _DENOM_TOL:
             raise InsufficientLocalData(
                 f"degenerate local linear fit at x (denominator {denom:.3e})"
             )
-        w = u * m[1]
-        np.subtract(m[2], w, out=w)
+        w = u * m1
+        np.subtract(m2, w, out=w)
     else:
+        m = [float(s) / nh for s in sums]
         a1 = m[2] * m[4] - m[3] ** 2
         a2 = m[2] * m[3] - m[1] * m[4]
         a3 = m[1] * m[3] - m[2] ** 2

@@ -19,8 +19,17 @@ __all__ = ["Kernel", "KERNELS", "get_kernel"]
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
+# The registered kernels write into the array of their first operation, in
+# place, with the operations and operand order of their one-line formulas,
+# so they keep those formulas' bits: 0.75 * max(0, 1 - u u) for the
+# Epanechnikov kernel and exp((-0.5 u) u) / sqrt(2 pi) for the Gaussian.
+
 def _epanechnikov(u: np.ndarray) -> np.ndarray:
-    return 0.75 * np.maximum(0.0, 1.0 - u * u)
+    out = u * u
+    np.subtract(1.0, out, out=out)
+    np.maximum(0.0, out, out=out)
+    np.multiply(0.75, out, out=out)
+    return out
 
 
 def _uniform(u: np.ndarray) -> np.ndarray:
@@ -28,7 +37,11 @@ def _uniform(u: np.ndarray) -> np.ndarray:
 
 
 def _gaussian(u: np.ndarray) -> np.ndarray:
-    return np.exp(-0.5 * u * u) / _SQRT_2PI
+    out = -0.5 * u
+    np.multiply(out, u, out=out)
+    np.exp(out, out=out)
+    np.divide(out, _SQRT_2PI, out=out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -48,6 +61,9 @@ class Kernel:
     moments : tuple of float
         Raw moments (mu_0, ..., mu_4).  mu_0 = 1 and the odd moments are
         exactly zero for every registered kernel.
+    fn : callable
+        K on a float64 array of one or more dimensions, entry by entry;
+        :meth:`eval` hands it a one-entry array for a scalar.
     """
 
     name: str
@@ -59,8 +75,9 @@ class Kernel:
     def eval(self, u):
         """Evaluate K(u).  Accepts scalars or arrays and matches the input shape."""
         arr = np.asarray(u, dtype=float)
-        out = self.fn(arr)
-        return float(out) if arr.ndim == 0 else out
+        if arr.ndim == 0:
+            return float(self.fn(arr.reshape(1))[0])
+        return self.fn(arr)
 
 
 KERNELS = {

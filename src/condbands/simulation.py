@@ -155,9 +155,18 @@ def prepare_weighted_cdf(model: SimModel, zs, weights):
 
     def at(ts):
         ts = np.asarray(ts, dtype=float)
+        if ts.ndim == 0:
+            ts = ts.reshape(1)  # one point, so the rows below are (p, 1)
         above = sums.take(np.searchsorted(neg_az, -np.abs(ts)), axis=1)  # sums over |z| > |t|
-        above_w = above[:p]
-        return 0.5 * (above_w + ts * above[p:]) + (ts >= 0.0) * (totals - above_w)
+        # 0.5 * (above_w + ts * above_wz) + (ts >= 0) * (totals - above_w), with
+        # the one-line expression's operations, in the rows of ``above``
+        above_w, above_wz = above[:p], above[p:]
+        np.multiply(ts, above_wz, out=above_wz)
+        np.add(above_w, above_wz, out=above_wz)
+        np.multiply(0.5, above_wz, out=above_wz)
+        np.subtract(totals, above_w, out=above_w)
+        np.multiply(ts >= 0.0, above_w, out=above_w)
+        return np.add(above_wz, above_w, out=above_w)
 
     return at
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -36,7 +37,7 @@ from condbands import (
     sim_model,
     true_densities,
 )
-from condbands.bands import write_csv
+from condbands.bands import _table_columns, fit_grid, write_csv
 from condbands.cli import main
 
 EPA = get_kernel("epanechnikov")
@@ -94,6 +95,58 @@ def test_band_halfwidth_on_model_sample():
     assert val == pytest.approx(0.08, abs=0.02)
     with pytest.raises(InsufficientLocalData):
         band_halfwidth(sample, 50.0, c)
+
+
+def _written_out_halfwidth(l2, h, n, d0):
+    """The half-width formula as written in the module docstring."""
+    return math.sqrt(l2 * math.log(1.0 / h) / (2.0 * n * h * d0))
+
+
+@pytest.mark.parametrize("kernel,order,n", [
+    *((kernel, order, n) for kernel in (EPA, UNI, get_kernel("gaussian"))
+      for order in (0, 1, 2) for n in (2, 3, 40, 2_000)),
+    (EPA, 1, 10**6),  # one kernel and order at n = 10**6 keeps the test small
+], ids=lambda v: getattr(v, "name", v))
+def test_fit_grid_halfwidth_has_the_bits_of_certainty_halfwidth(kernel, order, n):
+    # fit_grid takes |K|_2^2 log(1/h) and 2 n h once per grid; each kept
+    # location's L(x) must still have the bits of the formula on its own d0
+    sample = draw(M1, n, n + order)
+    c = cfg(kernel=kernel, h=reference_bandwidth(max(n, 2)), order=order)
+    grid = np.concatenate([np.linspace(-2.0, 2.0, 9), sample.xs[:3]])
+    try:
+        kept, skipped = fit_grid(sample, grid, c, lambda x, fit, half: (fit.density, half))
+    except InsufficientLocalData:
+        assert n <= order + 1  # too few points for any fit of this order
+        return
+    assert len(kept) + len(skipped) == grid.size
+    for d0, half in kept:
+        want = certainty_halfwidth(kernel.l2_norm_sq, c.bandwidth, n, d0)
+        assert half.hex() == want.hex() == _written_out_halfwidth(kernel.l2_norm_sq, c.bandwidth, n, d0).hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    l2=st.floats(1e-6, 1e6),
+    h=st.floats(1e-6, 1.0, exclude_max=True),
+    n=st.integers(1, 10**12),
+    d0=st.floats(1e-12, 1e12, exclude_min=True),
+)
+def test_certainty_halfwidth_has_the_bits_of_the_written_out_formula(l2, h, n, d0):
+    assert certainty_halfwidth(l2, h, n, d0).hex() == _written_out_halfwidth(l2, h, n, d0).hex()
+
+
+def test_fit_grid_skips_a_density_at_the_tolerance_with_its_message():
+    # K is 1e-12 on [-1/2, 1/2): one point in the window with n h = 1 gives
+    # d0 = 1e-12 exactly, which the order-0 fit accepts and the band refuses
+    tiny = dataclasses.replace(UNI, name="tiny", fn=lambda u: np.where((u >= -0.5) & (u < 0.5), 1e-12, 0.0))
+    sample = Sample(xs=[0.0, 10.0], ys=[0.1, 0.2])
+    c = cfg(kernel=tiny, h=0.5, order=0)
+    assert local_weights(sample, 0.0, c).density == 1e-12
+    with pytest.raises(InsufficientLocalData, match=(
+        r"^every grid location was skipped; the last, x = 10.0: "
+        r"design density estimate 1.000e-12 too small for a band$"
+    )):
+        fit_grid(sample, [0.0, 10.0], c, lambda x, fit, half: half)
 
 
 # ---------------------------------------------------------------------------
@@ -685,6 +738,60 @@ def test_density_plugin_consistency_on_model():
     assert pair.fx == pytest.approx(phi0, abs=0.05)
     # joint density at (0, 0.5) is phi(0) * 1
     assert pair.fxy == pytest.approx(phi0, abs=0.1)
+
+
+def test_density_plugin_of_a_far_response_is_finite_and_quiet():
+    # (y - Y) / h of the response 1e300 overflows in K's u u; K is 0 there
+    rng = np.random.default_rng(0)
+    xs, ys = rng.standard_normal(50), rng.random(50)
+    xs[7], ys[7] = 0.0, 1e300
+    big = Sample(xs=xs, ys=ys)
+    for kernel in (EPA, UNI, get_kernel("gaussian")):
+        c = cfg(kernel=kernel, h=0.5)
+        pair = density_plugin(big, 0.0, 0.5, c)  # tier-1 turns warnings into errors
+        ys[7] = 0.5
+        fine = density_plugin(Sample(xs=xs, ys=ys), 0.0, 0.5, c)
+        ys[7] = 1e300
+        assert math.isfinite(pair.fx) and math.isfinite(pair.fxy)
+        assert pair.fx == fine.fx
+        assert pair.fxy == pytest.approx(fine.fxy - kernel.eval(0.0) ** 2 / (50 * 0.5 * 0.5), abs=1e-15)
+
+
+def test_gaussian_band_with_a_far_design_point_is_finite_and_quiet():
+    # without a support the window is the whole sample, and u u of X = 1e300 overflows
+    rng = np.random.default_rng(1)
+    xs, ys = rng.standard_normal(50), rng.random(50)
+    xs[3] = 1e300
+    c = cfg(kernel=get_kernel("gaussian"), h=0.5)
+    table = cdf_band(Sample(xs=xs, ys=ys), [0.0, 0.5], "jumps", c)
+    assert np.isfinite(table.estimate).all() and np.isfinite(table.halfwidth).all()
+    assert table.metadata["skipped_locations"] == []
+    # the far point has K = 0 at both locations, so it is outside both windows
+    near = Sample(xs=np.delete(xs, 3), ys=np.delete(ys, 3))
+    fit, fit_near = local_weights(Sample(xs=xs, ys=ys), 0.5, c), local_weights(near, 0.5, c)
+    assert fit.window.k.tobytes() == fit_near.window.k.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(
+    st.tuples(st.floats(allow_nan=False), st.just(math.nan), st.floats(), st.floats(0.0, 1e300)),
+    min_size=1, max_size=30,
+))
+def test_scalar_table_columns_are_the_concatenated_rows(rows):
+    # regression and quantile rows hold scalars; their columns come from one
+    # array call, with the bits of the per-row atleast_1d and concatenate form
+    sizes = [1] * len(rows)
+    want = [np.repeat([row[0] for row in rows], sizes),
+            *(np.concatenate([np.atleast_1d(row[k]) for row in rows]) for k in (1, 2)),
+            np.repeat([row[3] for row in rows], sizes)]
+    with np.errstate(invalid="ignore", over="ignore"):
+        want += [want[2] - want[3], want[2] + want[3]]
+        held = list(rows)
+        got = _table_columns(held)
+    assert held == []
+    for ours, ref in zip(got, want):
+        assert ours.dtype == np.float64 and ours.flags.c_contiguous
+        assert ours.tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from unittest import mock
@@ -912,6 +913,23 @@ def test_a_one_point_grid_may_sit_anywhere_finite(tmp_path, capsys):
         "degenerate local linear fit at x (denominator 0.000e+00)\n"
     )
     assert not out.exists()
+
+
+def test_quantile_with_a_far_response_prints_nothing_to_stderr(tmp_path, capsys):
+    # the plug-in joint density's (q - Y) / h of Y = 1e300 overflows in K's
+    # u u, which printed a RuntimeWarning; K is 0 there, as inf gives
+    rng = np.random.default_rng(0)
+    xs, ys = rng.standard_normal(50), rng.random(50)
+    xs[7], ys[7] = 0.0, 1e300
+    data, out = tmp_path / "far.csv", tmp_path / "q.csv"
+    data.write_text("x,y\n" + "".join(f"{float(x)!r},{float(y)!r}\n" for x, y in zip(xs, ys)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")  # printed, as outside the test run
+        assert main(["quantile", "--input", str(data), "--density", "plugin",
+                     "--x-grid=0:0:1", "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = list(csv.DictReader(io.StringIO(out.read_text())))
+    assert len(rows) == 1 and all(np.isfinite(float(rows[0][k])) for k in ("estimate", "halfwidth"))
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from condbands import KERNELS, get_kernel
@@ -100,3 +101,52 @@ def test_nonnegative_and_array_shape(name):
     assert (vals >= 0).all()
     assert isinstance(k.eval(0.3), float)
 
+
+
+# The one-line formulas the kernels evaluate in place; their bits are the reference.
+ONE_LINE = {
+    "epanechnikov": lambda u: 0.75 * np.maximum(0.0, 1.0 - u * u),
+    "uniform": lambda u: np.where((u >= -0.5) & (u < 0.5), 1.0, 0.0),
+    "gaussian": lambda u: np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi),
+}
+_TINY = np.finfo(float).tiny
+EDGE_VALUES = [
+    0.0, -0.0, 5e-324, -5e-324, _TINY, -_TINY, _TINY / 3.0, 1e-300, 1e300, -1e300,
+    1.7976931348623157e308, math.inf, -math.inf, math.nan, 38.6, -38.6, 1e154, 1.5e154,
+    *(np.nextafter(edge, edge + d) for edge in (-1.0, -0.5, 0.5, 1.0) for d in (-1.0, 0.0, 1.0)),
+]
+
+
+@given(
+    values=st.lists(st.one_of(st.sampled_from(EDGE_VALUES), st.floats(-1e300, 1e300)), max_size=40),
+    step=st.sampled_from([1, 2, -1]),
+)
+@settings(max_examples=200, deadline=None)
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_kernels_have_the_bits_of_their_one_line_formulas(name, values, step):
+    kernel, reference = get_kernel(name), ONE_LINE[name]
+    full = np.array(values, dtype=float)
+    u = full[::step]  # a strided or reversed view for steps other than 1
+    before = full.copy()
+    with np.errstate(over="ignore"):
+        got, want = kernel.eval(u), reference(u)
+        column = kernel.eval(np.stack([u, u], axis=1)[:, 1])  # a column of a 2-d array
+        scalars = [kernel.eval(np.float64(v)) for v in u[:5]]
+        wants = [reference(np.asarray(v)) for v in u[:5]]
+    assert got.shape == u.shape and got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+    assert column.tobytes() == want.tobytes()
+    assert full.tobytes() == before.tobytes()  # the input is not written
+    for value, expected in zip(scalars, wants):
+        assert type(value) is float
+        assert np.float64(value).tobytes() == np.float64(expected).tobytes()
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_kernels_keep_the_shape_of_empty_and_2d_inputs(name):
+    kernel = get_kernel(name)
+    assert kernel.eval(np.empty(0)).shape == (0,)
+    grid = np.linspace(-1.5, 1.5, 12).reshape(3, 4)
+    for u in (grid, grid.T):
+        assert kernel.eval(u).tobytes() == ONE_LINE[name](u).tobytes()
+        assert kernel.eval(u).shape == u.shape
