@@ -152,33 +152,33 @@ def certainty_halfwidth(
     l2_norm_sq: float, bandwidth: float, n: int, density_at_x: float
 ) -> float:
     """The half-width formula on raw inputs; validates h, n, |K|_2^2 and the density."""
-    return _halfwidth_rule(l2_norm_sq, bandwidth, n)(density_at_x)
+    num, two_nh = _halfwidth_constants(l2_norm_sq, bandwidth, n)
+    return _halfwidth(num, two_nh, density_at_x)
 
 
-def _halfwidth_rule(l2_norm_sq: float, bandwidth: float, n: int) -> Callable[[float], float]:
-    """L as a function of the design density d0(x), for h, n and |K|_2^2 validated here, once.
+def _halfwidth_constants(l2_norm_sq: float, bandwidth: float, n: int) -> tuple[float, float]:
+    """|K|_2^2 log(1/h) and 2 n h, for h, n and |K|_2^2 validated here.
 
-    The numerator |K|_2^2 log(1/h) and the factor 2 n h are taken once; L(d0)
-    is sqrt(num / (2nh * d0)), which has the bits of the formula written out,
-    as Python evaluates it left to right.
+    :func:`_halfwidth` takes L = sqrt(num / (2nh * d0)) from them, which has
+    the bits of the formula written out, as Python evaluates it left to right.
     """
     _check_open_unit("bandwidth", bandwidth, InvalidBandwidth)
     if _check_integer("n", n, least=1) > _N_MAX:
         raise ValueError(f"n must be at most {_N_MAX:.4g}, got a {int(n).bit_length()}-bit integer")
     if not 0.0 < l2_norm_sq < math.inf:
         raise ValueError(f"l2_norm_sq must be positive and finite, got {l2_norm_sq!r}")
-    num, two_nh = l2_norm_sq * math.log(1.0 / bandwidth), 2.0 * n * bandwidth
+    return l2_norm_sq * math.log(1.0 / bandwidth), 2.0 * n * bandwidth
 
-    def halfwidth(density_at_x: float) -> float:
-        if not density_at_x > _DENSITY_TOL:
-            raise InsufficientLocalData(
-                f"design density estimate {density_at_x:.3e} too small for a band"
-            )
-        if density_at_x == math.inf:
-            raise ValueError(f"density_at_x must be finite, got {density_at_x!r}")
-        return math.sqrt(num / (two_nh * density_at_x))
 
-    return halfwidth
+def _halfwidth(num: float, two_nh: float, density_at_x: float) -> float:
+    """L(x) from :func:`_halfwidth_constants` and the design density d0(x)."""
+    if not density_at_x > _DENSITY_TOL:
+        raise InsufficientLocalData(
+            f"design density estimate {density_at_x:.3e} too small for a band"
+        )
+    if density_at_x == math.inf:
+        raise ValueError(f"density_at_x must be finite, got {density_at_x!r}")
+    return math.sqrt(num / (two_nh * density_at_x))
 
 
 def band_halfwidth(sample: Sample, x: float, cfg: EstimatorConfig) -> float:
@@ -204,11 +204,11 @@ def fit_grid(
     """
     kept, skipped = [], []
     grid = _check_grid("x_grid", x_grid)
-    halfwidth = _halfwidth_rule(cfg.kernel.l2_norm_sq, cfg.bandwidth, sample.n)
+    num, two_nh = _halfwidth_constants(cfg.kernel.l2_norm_sq, cfg.bandwidth, sample.n)
     for x in grid:
         try:
             fit = local_weights(sample, x, cfg)
-            kept.append(reduce(x, fit, halfwidth(fit.density)))
+            kept.append(reduce(x, fit, _halfwidth(num, two_nh, fit.density)))
         except (InsufficientLocalData, NoCrossing, ZeroJointDensity) as exc:
             skipped.append((float(x), str(exc)))
     if not kept:

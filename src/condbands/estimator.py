@@ -419,24 +419,13 @@ def kernel_window(sample: Sample, x: float, cfg: EstimatorConfig) -> KernelWindo
 
 def _power_sums(u, k, jmax):
     """sum_i u_i^j K(u_i) for j = 0..jmax."""
-    if jmax <= 2:
-        # the sums an order 0 or 1 fit needs, with the loop's operands: (u u) K
-        sums = [np.add.reduce(k)]
-        if jmax:
-            sums.append(np.add.reduce(u * k))
-        if jmax == 2:
-            uuk = u * u
-            uuk *= k
-            sums.append(np.add.reduce(uuk))
-        return np.array(sums)
-    out = np.empty(jmax + 1)
-    out[0] = np.add.reduce(k)
-    uj = u
+    sums, uj = [np.add.reduce(k)], u
     for j in range(1, jmax + 1):
-        out[j] = np.add.reduce(uj * k)
-        if j < jmax:
-            uj = uj * u
-    return out
+        nxt = uj * u if j < jmax else None
+        # from j = 2 on u^j is this function's own array, so u^j K goes into it
+        sums.append(np.add.reduce(uj * k if j == 1 else np.multiply(uj, k, out=uj)))
+        uj = nxt
+    return np.array(sums)
 
 
 def local_moments(sample: Sample, x: float, cfg: EstimatorConfig, jmax: int = 2) -> np.ndarray:
@@ -459,7 +448,7 @@ def _weight_vector(u, k, nh, order, sums):
             )
         return k / s0
     if order == 1:
-        s0, s1, s2 = sums.tolist()
+        s0, s1, s2 = sums[:3].tolist()  # the centering hands in longer sums
         m1, m2 = s1 / nh, s2 / nh
         denom = s0 / nh * m2 - m1 ** 2
         if abs(denom) < _DENOM_TOL:

@@ -37,7 +37,7 @@ from condbands import (
     sim_model,
     sup_experiment,
 )
-from condbands.estimator import ORDERS, CdfCurve, _check_integer
+from condbands.estimator import ORDERS, CdfCurve, _check_integer, _power_sums, _weight_vector
 from condbands.experiments import CENTERING_ORDERS
 
 EPA = get_kernel("epanechnikov")
@@ -754,6 +754,44 @@ def _wls_intercept(s, x, t, h, kernel):
     a = np.array([[w.sum(), (w * d).sum()], [(w * d).sum(), (w * d * d).sum()]])
     b = np.array([(w * z).sum(), (w * z * d).sum()])
     return np.linalg.solve(a, b)[0]
+
+
+def _loop_power_sums(u, k, jmax):
+    """The power sums as one loop into a preallocated vector, the reference form."""
+    out = np.empty(jmax + 1)
+    out[0] = np.add.reduce(k)
+    uj = u
+    for j in range(1, jmax + 1):
+        out[j] = np.add.reduce(uj * k)
+        if j < jmax:
+            uj = uj * u
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    u=st.lists(st.floats(-1.0, 1.0), max_size=40),
+    jmax=st.integers(0, 4),
+    kernel=st.sampled_from([EPA, UNI, GAU]),
+)
+def test_power_sums_have_the_bits_of_the_loop_and_leave_u_and_k_unwritten(u, jmax, kernel):
+    u = np.array(u, dtype=float)
+    k = kernel.eval(u)
+    u_bits, k_bits = u.tobytes(), k.tobytes()
+    got = _power_sums(u, k, jmax)
+    assert isinstance(got, np.ndarray) and got.shape == (jmax + 1,)
+    assert got.tobytes() == _loop_power_sums(u, k, jmax).tobytes()
+    assert u.tobytes() == u_bits and k.tobytes() == k_bits
+
+
+def test_order1_weights_read_the_first_three_of_longer_power_sums():
+    # the centering shares one set of sums, up to 2 max(orders), across its
+    # orders, so the order-1 weights must take m0, m1, m2 from five sums too
+    rng = np.random.default_rng(5)
+    u = rng.uniform(-1.0, 1.0, 50)
+    k = EPA.eval(u)
+    short = _weight_vector(u, k, 3.0, 1, _power_sums(u, k, 2))
+    assert _weight_vector(u, k, 3.0, 1, _power_sums(u, k, 4)).tobytes() == short.tobytes()
 
 
 def test_order1_matches_wls_oracle():
